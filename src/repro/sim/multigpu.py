@@ -93,23 +93,14 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             batch_size=spec.batch_size,
             execute=execute,
         ):
-            with timer.time("fusion") as span:
-                prepared, plan_source = self._prepare(circuit, execute)
-                span.set(
-                    plan_source=plan_source,
-                    fused_gates=len(prepared["plan"].gates),
-                )
+            prepared, plan_source = self._prepare(circuit, execute, timer)
             plan = prepared["plan"]
             conv_infos = prepared["conv_infos"]
             t_fusion = self.cpu.fusion_time(
                 len(circuit.gates), prepared["fused_nodes"]
             )
             t_conversion = sum(info["time"] for info in conv_infos)
-            with timer.time("convert"):
-                fresh = prepared["ells"] is None
-                ells = self._materialize_ells(prepared) if execute else None
-                if not (execute and fresh):
-                    self._trace_conv_infos(conv_infos)
+            ells = prepared["ells"] if execute else None
 
             with timer.time("io"):
                 batches = self._resolve_batches(circuit, spec, batches, execute)

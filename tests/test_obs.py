@@ -371,6 +371,24 @@ def test_canonical_wall_breakdown_all_simulators(factory):
     assert "metrics" in result.stats
 
 
+@pytest.mark.parametrize(
+    "factory", [BQSimSimulator, lambda: MultiGpuBQSimSimulator(num_devices=2)]
+)
+def test_convert_stage_books_only_real_conversions(factory):
+    sim = factory()
+    circuit = make_circuit("qft", 6)
+    spec = BatchSpec(1, 4, seed=3)
+    cold = sim.run(circuit, spec, execute=True).stats
+    assert cold["plan_source"] == "built"
+    assert cold["wall_breakdown"]["convert"] > 0
+    warm = sim.run(circuit, spec, execute=True).stats
+    assert warm["plan_source"] == "memory"
+    assert warm["wall_breakdown"]["convert"] == 0
+    # a model-only run compiles without converting
+    model = factory().run(circuit, spec, execute=False).stats
+    assert model["wall_breakdown"]["convert"] == 0
+
+
 def test_canonical_breakdown_folds_modeled_keys():
     modeled = {"fusion": 1.0, "conversion": 2.0, "simulation": 3.0}
     folded = canonical_breakdown(modeled)

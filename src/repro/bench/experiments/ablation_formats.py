@@ -21,7 +21,7 @@ from ...ell.alternatives import (
     csr_kernel_time,
     ell_kernel_time,
 )
-from ...ell.convert import ell_from_dd_cpu
+from ...ell.convert import ell_from_dd
 from ...fusion.bqcs import bqcs_fusion
 from ...gpu.spec import GpuSpec
 from ..tables import print_table
@@ -42,7 +42,7 @@ def run(scale: str = "small", batch_size: int = 256) -> list[dict]:
         plan = bqcs_fusion(mgr, circuit)
         t_ell = t_csr = t_coo = 0.0
         for fused in plan.gates:
-            ell = ell_from_dd_cpu(fused.dd, n)
+            ell = ell_from_dd(fused.dd, n)
             csr = csr_from_ell(ell)
             coo = coo_from_ell(ell)
             t_ell += ell_kernel_time(spec, n, batch_size, ell.width)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..circuit import Circuit, InputBatch
 from ..dd.manager import DDManager
-from ..ell.convert import ell_from_dd_cpu
+from ..ell.convert import ell_from_dd
 from ..ell.spmm import default_backend
 from ..fusion.array_fusion import cuquantum_plan
 from ..fusion.plan import FusionPlan
@@ -184,7 +184,7 @@ class CuQuantumSimulator(BatchSimulator):
                 with timer.time("convert"):
                     if prepared["ells"] is None:
                         prepared["ells"] = [
-                            ell_from_dd_cpu(fg.dd, n) for fg in plan.gates
+                            ell_from_dd(fg.dd, n) for fg in plan.gates
                         ]
                     ells = prepared["ells"]
                     # warm the gather plans outside the timed kernel bodies

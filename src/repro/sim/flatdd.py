@@ -17,7 +17,7 @@ import numpy as np
 
 from ..circuit import Circuit, InputBatch
 from ..dd.manager import DDManager
-from ..ell.convert import ell_from_dd_cpu
+from ..ell.convert import ell_from_dd
 from ..ell.spmm import build_apply_plans
 from ..fusion.greedy import flatdd_fusion
 from ..gpu.power import PowerReport, cpu_power_from_utilization
@@ -131,7 +131,7 @@ class FlatDDSimulator(BatchSimulator):
                 with timer.time("convert"):
                     if prepared["ells"] is None:
                         prepared["ells"] = [
-                            ell_from_dd_cpu(fg.dd, n) for fg in plan.gates
+                            ell_from_dd(fg.dd, n) for fg in plan.gates
                         ]
                     # compiled gather plans, consecutive width-1 kernels composed
                     apply_plans = build_apply_plans(prepared["ells"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..circuit import Circuit, InputBatch
 from ..dd.manager import DDManager
-from ..ell.convert import ell_from_dd_cpu
+from ..ell.convert import ell_from_dd
 from ..ell.spmm import build_apply_plans
 from ..fusion.array_fusion import aer_fusion
 from ..gpu.power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
@@ -155,7 +155,7 @@ class QiskitAerSimulator(BatchSimulator):
                 with timer.time("convert"):
                     if prepared["ells"] is None:
                         prepared["ells"] = [
-                            ell_from_dd_cpu(fg.dd, n) for fg in plan.gates
+                            ell_from_dd(fg.dd, n) for fg in plan.gates
                         ]
                     apply_plans = build_apply_plans(prepared["ells"])
                 with timer.time("execute") as span:

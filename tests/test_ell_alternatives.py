@@ -10,7 +10,7 @@ from repro.ell import (
     coo_spmm,
     csr_from_ell,
     csr_spmm,
-    ell_from_dd_cpu,
+    ell_from_dd,
 )
 from repro.ell.alternatives import (
     COOMatrix,
@@ -27,7 +27,7 @@ from repro.gpu.spec import GpuSpec
 def gate_ell(mgr4):
     circuit = random_circuit(4, 15, seed=21)
     edge = circuit_matrix_dd(mgr4, circuit.gates)
-    return edge, ell_from_dd_cpu(edge, 4)
+    return edge, ell_from_dd(edge, 4)
 
 
 def test_csr_roundtrip(gate_ell):

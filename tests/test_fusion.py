@@ -6,7 +6,7 @@ import pytest
 from repro.circuit import Circuit, random_batch
 from repro.circuit.generators import graphstate, make_circuit, random_circuit
 from repro.dd import DDManager, matrix_to_dense
-from repro.ell import ell_from_dd_cpu, ell_spmm
+from repro.ell import ell_from_dd, ell_spmm
 from repro.errors import FusionError
 from repro.fusion import (
     aer_fusion,
@@ -25,7 +25,7 @@ ALL_PLANNERS = [cuquantum_plan, aer_fusion, flatdd_fusion, bqcs_fusion, no_fusio
 def apply_plan(plan, batch):
     states = batch.states
     for fused in plan.gates:
-        states = ell_spmm(ell_from_dd_cpu(fused.dd, plan.num_qubits), states)
+        states = ell_spmm(ell_from_dd(fused.dd, plan.num_qubits), states)
     return states
 
 

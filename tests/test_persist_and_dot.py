@@ -17,7 +17,7 @@ from repro.dd import (
 from repro.ell import (
     EllBundle,
     bundle_from_plan,
-    ell_from_dd_cpu,
+    ell_from_dd,
     load_bundle,
     save_bundle,
 )
@@ -31,7 +31,7 @@ def bundle():
     circuit = make_circuit("vqe", 6)
     mgr = DDManager(6)
     plan = bqcs_fusion(mgr, circuit)
-    ells = [ell_from_dd_cpu(fg.dd, 6) for fg in plan.gates]
+    ells = [ell_from_dd(fg.dd, 6) for fg in plan.gates]
     return circuit, bundle_from_plan(circuit.name, 6, ells)
 
 

@@ -106,12 +106,12 @@ def test_bundle_roundtrip_random_circuits(circuit, seed):
     from pathlib import Path
 
     from repro.dd import DDManager
-    from repro.ell import bundle_from_plan, ell_from_dd_cpu, load_bundle, save_bundle
+    from repro.ell import bundle_from_plan, ell_from_dd, load_bundle, save_bundle
     from repro.fusion import bqcs_fusion
 
     mgr = DDManager(3)
     plan = bqcs_fusion(mgr, circuit)
-    ells = [ell_from_dd_cpu(fg.dd, 3) for fg in plan.gates]
+    ells = [ell_from_dd(fg.dd, 3) for fg in plan.gates]
     bundle = bundle_from_plan("prop", 3, ells)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.npz"

@@ -30,14 +30,12 @@ from .events import get_resilience_log
 def shard_is_dead(service) -> bool:
     """True when ``service`` can never run another mega-batch.
 
-    A process-mode service is dead once its pool has zero live workers
-    (the restart budget is spent) and nothing is in flight that could
-    still land.  A serial service runs in this very interpreter and is
-    never dead.  Pool-less process services (nothing dispatched yet)
-    are alive: the pool spawns on first use.
+    A service is dead once its executor has zero live workers (a process
+    pool's restart budget is spent) and nothing is in flight that could
+    still land.  The in-process executor always reports its workers
+    alive, so a serial service is never dead.  A service with no
+    executor yet (nothing dispatched) is alive: it is built on first use.
     """
-    if service.parallelism != "process":
-        return False
     pool = service._pool
     if pool is None:
         return False

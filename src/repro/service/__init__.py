@@ -8,7 +8,7 @@ submitted jobs that share a circuit structure (the same
 mega-batch and executed by a single simulator call — the inverse of the
 one-process-per-input Qiskit Aer baseline the paper beats.
 
-Five parts, one per module:
+The parts, one per module:
 
 * :mod:`repro.service.jobs` — the job model and its strict
   ``PENDING → QUEUED → COALESCED → RUNNING →
@@ -21,15 +21,19 @@ Five parts, one per module:
   starvation) with a bounded earliest-deadline-first urgent lane;
 * :mod:`repro.service.coalesce` — plan-fingerprint grouping, mega-batch
   packing under the device memory budget, bit-identical scatter;
-* :mod:`repro.service.workers` — the worker pool (one simulator + plan
-  cache per worker) and the service orchestrator, with per-mega-batch
-  resilience and per-job-isolation degradation;
-* :mod:`repro.service.pool` — the spawn-safe, *supervised* process
-  worker pool behind ``parallelism="process"``: N OS processes executing
-  mega-batches concurrently, shared-memory state shipping with a
-  leak-audited segment set, one shared on-disk plan cache with
-  compile-once file locking, and crash/hang supervision (dead workers
-  reaped and respawned under a restart budget, overdue tasks killed);
+* :mod:`repro.service.workers` — the service orchestrator: one dispatch
+  loop and one finalize for both execution modes, plus redelivery,
+  quarantine and cancellation policy;
+* :mod:`repro.service.pool` — the two executors of one task protocol
+  (per-mega-batch resilience, per-job-isolation degradation):
+  :class:`~repro.service.pool.InlinePool` runs tasks in the serving
+  process (``parallelism="none"``), and the spawn-safe, *supervised*
+  :class:`~repro.service.pool.ProcessWorkerPool` runs them on N OS
+  processes (``parallelism="process"``) with shared-memory state
+  shipping from a leak-audited segment set, one shared on-disk plan
+  cache with compile-once file locking, and crash/hang supervision
+  (dead workers reaped and respawned under a restart budget, overdue
+  tasks killed);
 * :mod:`repro.service.client` — the synchronous submit/result API and
   the scripted saturation workload behind ``repro serve``.
 """
@@ -40,11 +44,12 @@ from .jobs import Job, JobStatus, TERMINAL_STATES, make_job
 from .pool import (
     DEFAULT_MAX_RESTARTS,
     DEFAULT_SHM_THRESHOLD,
+    InlinePool,
     ProcessWorkerPool,
 )
 from .queue import DEFAULT_MAX_DEPTH, JobQueue
 from .scheduler import FairScheduler, SchedulerPolicy
-from .workers import DEFAULT_MAX_DELIVERIES, BatchSimulationService, Worker
+from .workers import DEFAULT_MAX_DELIVERIES, BatchSimulationService
 
 __all__ = [
     "BatchSimulationService",
@@ -56,6 +61,7 @@ __all__ = [
     "DEFAULT_MAX_RESTARTS",
     "DEFAULT_SHM_THRESHOLD",
     "FairScheduler",
+    "InlinePool",
     "Job",
     "JobQueue",
     "JobStatus",
@@ -65,5 +71,4 @@ __all__ = [
     "SchedulerPolicy",
     "ServiceClient",
     "TERMINAL_STATES",
-    "Worker",
 ]

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit import InputBatch
 from ..errors import ServiceError
 from ..gpu.spec import GpuSpec, state_block_bytes
 from ..obs import get_metrics
@@ -120,14 +119,14 @@ class Coalescer:
 
     :meth:`build_group` collects ranked jobs matching the head-of-line
     job's plan fingerprint (up to the device-memory column budget and
-    ``max_jobs_per_batch``); :meth:`mega_batches` packs their inputs
-    into uniform-width :class:`~repro.circuit.InputBatch` slices,
+    ``max_jobs_per_batch``); :meth:`mega_block` packs their inputs into
+    one column block of ``spec.num_batches`` uniform-width batches,
     padding the tail with norm-1 copies of the first column;
     :meth:`scatter` undoes the packing exactly.  Example::
 
         coalescer = Coalescer(GpuSpec())
         group = coalescer.build_group(head_job, ranked_jobs)
-        spec, batches, pad = coalescer.mega_batches(group)
+        spec, mega, pad = coalescer.mega_block(group)
     """
 
     def __init__(
@@ -204,8 +203,8 @@ class Coalescer:
         ``spec.num_batches`` equal batches no wider than the column
         budget.  Padding is norm-1 (the health guard stays quiet) and
         provably inert — spMM columns are independent — and dropped at
-        scatter.  This is also the exact block the process worker pool
-        ships through shared memory.
+        scatter.  This is the block every executor task carries (the
+        process worker pool ships it through shared memory).
         """
         budget = column_budget(self.gpu, group.num_qubits, self.max_columns)
         mega = np.hstack([job.batch.states for job in group.jobs])
@@ -220,22 +219,6 @@ class Coalescer:
         spec = BatchSpec(num_batches=num_batches, batch_size=width, seed=0)
         return spec, mega, pad
 
-    def mega_batches(
-        self, group: CoalescedGroup
-    ) -> tuple[BatchSpec, list[InputBatch], int]:
-        """Pack a group into uniform device batches.
-
-        :meth:`mega_block` sliced into per-batch views — the layout
-        :meth:`BQSimSimulator.run` consumes directly.
-        """
-        spec, mega, pad = self.mega_block(group)
-        width = spec.batch_size
-        batches = [
-            InputBatch(mega[:, i * width : (i + 1) * width])
-            for i in range(spec.num_batches)
-        ]
-        return spec, batches, pad
-
     # -- unpacking -----------------------------------------------------------
 
     @staticmethod
@@ -244,7 +227,7 @@ class Coalescer:
     ) -> dict[str, np.ndarray]:
         """Slice a run's output batches back into per-job result blocks.
 
-        Inverse of :meth:`mega_batches`: concatenate, drop padding, split
+        Inverse of :meth:`mega_block`: concatenate, drop padding, split
         at the group's column offsets.  Bit-identical to what each job
         would have produced alone.
         """

@@ -1,30 +1,26 @@
-"""Process-parallel execution pool for the batch simulation service.
+"""The two executors of the serving layer's task protocol.
 
-The serving layer's coalescer removes per-gate overhead by merging jobs
-into mega-batches, but PR 4 still executed every mega-batch serially on
-one Python interpreter — the GIL caps throughput at one core no matter
-how many :class:`~repro.service.workers.Worker` objects exist.  This
-module adds the missing axis: a :class:`ProcessWorkerPool` of **N OS
-processes** (stdlib :mod:`multiprocessing`, spawn-safe) that each own a
-full :class:`~repro.sim.bqsim.BQSimSimulator` and execute whole
-mega-batches concurrently.
+:class:`~repro.service.workers.BatchSimulationService` hands each
+coalesced mega-batch to an executor as one **task**: the padded column
+block, the per-job column counts and ids, and the group's fidelity
+budget.  :func:`_run_task` is the one code path that executes a task —
+group run, per-job isolation when it raises
+:class:`~repro.errors.ReproError`, approximation ledger — and both
+executors call it:
 
-Three properties carry over from the serial path by construction:
+* :class:`InlinePool` (``parallelism="none"``) runs each task inside the
+  serving process, on N simulators taken round-robin;
+* :class:`ProcessWorkerPool` (``parallelism="process"``) runs tasks
+  concurrently on **N OS processes** (spawn-safe :mod:`multiprocessing`)
+  that each own a :class:`~repro.sim.bqsim.BQSimSimulator` and share one
+  on-disk plan cache, whose ``flock``-based
+  :meth:`~repro.sim.base.PlanCache.build_lock` compiles each plan
+  fingerprint once fleet-wide.
 
-* **bit-identical results** — a worker runs the exact padded mega-block
-  the serial path would have run, through the same simulator code; spMM
-  computes each output column from its input column alone, so process
-  placement cannot change a single bit (property-tested in
-  ``tests/test_service_pool.py``);
-* **degradation stays local** — when a mega-batch raises
-  :class:`~repro.errors.ReproError` inside a worker, that worker re-runs
-  every member job alone (per-job isolation) before reporting, exactly
-  like the serial service's ``_degrade``;
-* **compile-once plans** — every worker points at one shared on-disk
-  :class:`~repro.sim.base.PlanCache` tier; first-build races are settled
-  by the cache's ``flock``-based :meth:`~repro.sim.base.PlanCache.build_lock`,
-  so each plan fingerprint is fused and converted exactly once fleet-wide
-  and the losers load the winner's archive.
+Results are bit-identical either way: every task runs the same padded
+block through the same simulator code, and spMM computes each output
+column from its input column alone (property-tested in
+``tests/test_service_pool.py``).
 
 State vectors cross the process boundary via
 :mod:`multiprocessing.shared_memory` once they exceed
@@ -37,17 +33,15 @@ segment lifetime never depends on worker exit order and
 
 **Supervision.**  Worker processes die — the OOM killer SIGKILLs them,
 a wedged native kernel hangs them.  The pool supervises on every
-:meth:`poll` (blocking *and* non-blocking): a dead worker's task is
-reaped as a crash result carrying evidence (``exitcode``, member job
-ids), an overdue task's worker is killed and reaped as a timeout, and
-the dead slot is respawned with a fresh task queue under a pool-wide
-restart budget (:class:`~repro.resilience.retry.RetryPolicy` — backoff
-is *modeled*, not slept, like every other backoff in this codebase).
-When the budget runs out the slot is marked lost; once every slot is
-lost, :meth:`submit` raises so the service can fail queued work instead
-of waiting forever.  Crash results carry ``result["crash"]`` — the
-service turns that into redelivery or quarantine; the pool itself stays
-policy-free.
+:meth:`~ProcessWorkerPool.poll`: a dead worker's task is reaped as a
+crash result carrying evidence (``exitcode``, member job ids), an
+overdue task's worker is killed and reaped as a timeout, and the slot is
+respawned under a pool-wide restart budget
+(:class:`~repro.resilience.retry.RetryPolicy`; backoff is *modeled*, not
+slept).  Once every slot is lost, :meth:`~ProcessWorkerPool.submit`
+raises so the service can fail queued work instead of waiting forever.
+Crash results carry ``result["crash"]``; the service turns that into
+redelivery or quarantine, and the pool itself stays policy-free.
 """
 
 from __future__ import annotations
@@ -58,7 +52,6 @@ import os
 import shutil
 import tempfile
 import time
-from contextlib import nullcontext
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -70,6 +63,7 @@ from ..obs.tracer import Tracer, set_tracer
 from ..resilience.events import get_resilience_log
 from ..resilience.retry import RetryPolicy, RetrySession
 from ..sim.base import PLAN_CACHE_ENV, BatchSpec
+from ..sim.bqsim import BQSimSimulator
 
 #: arrays at or above this many bytes ship via ``shared_memory``; smaller
 #: ones are pickled inline through the task queue (two segment syscalls
@@ -93,6 +87,29 @@ _JOIN_TIMEOUT_S = 5.0
 _EMPTY_PLAN_CACHE = {"hits": 0, "disk_hits": 0, "misses": 0, "quarantined": 0}
 
 
+def _task(
+    task_id: int, circuit, spec: BatchSpec, inputs, total_columns: int,
+    job_columns: list[int], job_ids: list[str] | None, *, out_shm=None,
+    trace=False, resume=False, fidelity: float = 1.0, chaos=None,
+) -> dict:
+    """The task record :func:`_run_task` executes, as both executors build
+    it.  ``inputs`` is an array descriptor (see :func:`_receive_array`)."""
+    return {
+        "task_id": task_id,
+        "circuit": circuit,
+        "spec": (spec.num_batches, spec.batch_size, spec.seed),
+        "inputs": inputs,
+        "out_shm": out_shm,
+        "total_columns": total_columns,
+        "job_columns": list(job_columns),
+        "job_ids": list(job_ids or []),
+        "trace": bool(trace),
+        "resume": bool(resume),
+        "fidelity": float(fidelity),
+        "chaos": chaos,
+    }
+
+
 def _receive_array(desc) -> np.ndarray:
     """Materialize an array descriptor produced by ``_ship_array``.
 
@@ -110,11 +127,6 @@ def _receive_array(desc) -> np.ndarray:
         return np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf).copy()
     finally:
         seg.close()
-
-
-def _span(tracer, name: str, **attrs):
-    """A tracer span when tracing is on, a no-op context otherwise."""
-    return tracer.span(name, **attrs) if tracer is not None else nullcontext()
 
 
 def _group_run(sim, task: dict, spec: BatchSpec, batches: list):
@@ -143,13 +155,19 @@ def _group_run(sim, task: dict, spec: BatchSpec, batches: list):
 
 
 def _run_task(sim, wid: int, task: dict) -> dict:
-    """Execute one dispatched mega-batch inside a worker process.
+    """Execute one dispatched mega-batch on ``sim``: the task protocol.
 
-    Returns a picklable result record.  Mirrors the serial service's
-    execute-then-degrade contract: a :class:`ReproError` from the group
-    run triggers per-job solo re-runs *inside this worker*; any other
-    exception fails every member (the worker itself must survive to take
-    the next task).
+    Returns a picklable result record.  A :class:`ReproError` from the
+    group run triggers per-job solo re-runs on the same simulator, so a
+    poisoned job fails alone; any other exception fails every member
+    with ``"<type>: <message>"`` — neither a pool worker nor a serving
+    process may strand the cohort.  Only :class:`Exception` is caught:
+    a ``KeyboardInterrupt`` still stops a serial server, and a pool
+    worker it hits dies and is reaped as a crash.
+
+    The ``service.megabatch`` and ``service.solo_retry`` spans go on the
+    ambient tracer; a task with ``trace`` set (sent to a pool worker)
+    records onto its own tracer and ships the spans back in the result.
     """
     chaos = task.get("chaos")
     if chaos:
@@ -159,15 +177,15 @@ def _run_task(sim, wid: int, task: dict) -> dict:
     wall0 = time.perf_counter()
     tracer = Tracer(enabled=True) if task["trace"] else None
     previous = set_tracer(tracer) if tracer is not None else None
-    # the worker simulator is long-lived and serves every fidelity class;
-    # point it at this task's budget before running (the plan-cache key
+    # the simulator is long-lived and serves every fidelity class; point
+    # it at this task's budget before running (the plan-cache key
     # includes the budget, so classes never share compiled plans)
     sim.fidelity = task.get("fidelity", 1.0)
     mega = _receive_array(task["inputs"])
     spec = BatchSpec(*task["spec"])
     total = task["total_columns"]
     job_columns = task["job_columns"]
-    job_ids = task.get("job_ids") or []
+    job_ids = task["job_ids"]
     width = spec.batch_size
     batches = [
         InputBatch(mega[:, i * width : (i + 1) * width])
@@ -184,9 +202,10 @@ def _run_task(sim, wid: int, task: dict) -> dict:
     approx = None
     try:
         try:
-            with _span(
-                tracer, "pool.megabatch",
+            with get_tracer().span(
+                "service.megabatch",
                 worker=wid,
+                circuit=task["circuit"].name,
                 jobs=len(job_columns),
                 job_ids=list(job_ids),
                 columns=total,
@@ -201,9 +220,8 @@ def _run_task(sim, wid: int, task: dict) -> dict:
                 solo_batch = InputBatch(mega[:, offset : offset + cols])
                 jid = job_ids[idx] if idx < len(job_ids) else ""
                 try:
-                    with _span(
-                        tracer, "pool.solo",
-                        worker=wid, job=jid, columns=cols,
+                    with get_tracer().span(
+                        "service.solo_retry", worker=wid, job=jid, columns=cols
                     ):
                         solo = sim.run(
                             task["circuit"],
@@ -235,7 +253,7 @@ def _run_task(sim, wid: int, task: dict) -> dict:
             resumed_batches = result.stats.get("resumed_batches", 0)
             approx = result.stats.get("approx")
             per_job = [{"ok": True, "error": None} for _ in job_columns]
-    except BaseException as exc:  # noqa: BLE001 - worker must not die
+    except Exception as exc:  # noqa: BLE001 - the cohort must be accounted
         degraded = True
         cause = f"{type(exc).__name__}: {exc}"
         merged = None
@@ -287,8 +305,6 @@ def _run_task(sim, wid: int, task: dict) -> dict:
 def _worker_main(wid: int, task_q, result_q, simulator_kwargs: dict) -> None:
     """Entry point of one pool worker process (module-level: spawn pickles
     it by qualified name)."""
-    from ..sim.bqsim import BQSimSimulator
-
     sim = BQSimSimulator(**simulator_kwargs)
     while True:
         task = task_q.get()
@@ -297,19 +313,55 @@ def _worker_main(wid: int, task_q, result_q, simulator_kwargs: dict) -> None:
         result_q.put(_run_task(sim, wid, task))
 
 
-class ProcessWorkerPool:
+class _Executor:
+    """Task ids and the per-worker accounting both executors report."""
+
+    def __init__(self, num_workers: int) -> None:
+        if num_workers < 1:
+            raise ServiceError("an executor needs at least one worker")
+        self.num_workers = num_workers
+        self._task_ids = itertools.count(1)
+        #: per-worker tallies, and each worker's last plan-cache snapshot
+        self._worker_stats = [
+            {"wid": wid, "megabatches": 0, "solo_runs": 0, "jobs_done": 0,
+             "crashes": 0, "restarts": 0}
+            for wid in range(num_workers)
+        ]
+        self._plan_cache: dict[int, dict] = {}
+
+    def _count(self, wid: int, raw: dict) -> None:
+        """Fold one :func:`_run_task` result into worker ``wid``'s tally."""
+        tally = self._worker_stats[wid]
+        tally["megabatches"] += 1
+        tally["solo_runs"] += raw["solo_runs"]
+        tally["jobs_done"] += sum(1 for out in raw["per_job"] if out["ok"])
+        self._plan_cache[wid] = raw["plan_cache"]
+
+    def worker_summaries(self) -> list[dict]:
+        """Per-worker tallies, the entries of ``service.stats()["workers"]``."""
+        return list(self._worker_stats)
+
+    def plan_cache_totals(self) -> dict[str, int]:
+        """Plan-cache counters summed over each worker's last snapshot."""
+        return {
+            key: sum(snap[key] for snap in self._plan_cache.values())
+            for key in _EMPTY_PLAN_CACHE
+        }
+
+
+class ProcessWorkerPool(_Executor):
     """N spawn-safe, supervised worker processes executing mega-batches.
 
     The pool is deliberately dumb: it knows nothing about jobs, queues,
     or scheduling — :meth:`submit` takes one packed mega-block and hands
-    it to an idle worker, :meth:`poll` collects finished results and
-    supervises the fleet (reap crashed workers, kill overdue ones,
-    respawn under the restart budget).  The
-    :class:`~repro.service.workers.BatchSimulationService` drives it in
-    ``parallelism="process"`` mode and keeps all policy (fairness,
-    coalescing, redelivery, quarantine) in the parent: a crashed or
-    timed-out task surfaces as a result whose ``crash`` key holds the
-    evidence, never as a lost job.
+    it to an idle worker, which runs it through :func:`_run_task`;
+    :meth:`poll` collects finished results and supervises the fleet
+    (reap crashed workers, kill overdue ones, respawn under the restart
+    budget).  The :class:`~repro.service.workers.BatchSimulationService`
+    drives it in ``parallelism="process"`` mode and keeps all policy
+    (fairness, coalescing, redelivery, quarantine) in the parent: a
+    crashed or timed-out task surfaces as a result whose ``crash`` key
+    holds the evidence, never as a lost job.
 
     Example — two workers sharing one on-disk plan cache::
 
@@ -329,11 +381,9 @@ class ProcessWorkerPool:
         restart_policy: RetryPolicy | None = None,
         chaos=None,
     ) -> None:
-        if num_workers < 1:
-            raise ServiceError("process pool needs at least one worker")
+        super().__init__(num_workers)
         if max_restarts < 0:
             raise ServiceError("max_restarts must be >= 0")
-        self.num_workers = num_workers
         self.shm_threshold = shm_threshold
         self.max_restarts = max_restarts
         #: attempts bounds restarts per slot, run_budget bounds the fleet;
@@ -371,7 +421,6 @@ class ProcessWorkerPool:
         self._idle: set[int] = set()
         self._lost: set[int] = set()
         self._pending: dict[int, dict] = {}
-        self._task_ids = itertools.count(1)
         self._started = False
         self._closed = False
         #: names of every parent-created shm segment not yet unlinked —
@@ -388,21 +437,8 @@ class ProcessWorkerPool:
         self.timeouts = 0
         self.restarts = 0
         self.resumed_batches = 0
-        #: last plan-cache snapshot and per-worker tallies, by wid
-        self._plan_cache: dict[int, dict] = {}
         self._worker_restarts: dict[int, int] = {
             wid: 0 for wid in range(num_workers)
-        }
-        self._worker_stats: dict[int, dict] = {
-            wid: {
-                "wid": wid,
-                "megabatches": 0,
-                "solo_runs": 0,
-                "jobs_done": 0,
-                "crashes": 0,
-                "restarts": 0,
-            }
-            for wid in range(num_workers)
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -566,10 +602,11 @@ class ProcessWorkerPool:
     ) -> tuple[int, int]:
         """Dispatch one packed mega-block to an idle worker.
 
-        ``mega`` is the padded ``(2**n, spec.num_inputs)`` block the serial
-        path would execute; ``job_columns`` are the unpadded per-job column
-        counts (summing to ``total_columns``); ``job_ids`` (optional, same
-        order) are stamped onto the worker's ``pool.megabatch``/``pool.solo``
+        ``mega`` is the padded ``(2**n, spec.num_inputs)`` block from
+        :meth:`~repro.service.coalesce.Coalescer.mega_block`;
+        ``job_columns`` are the unpadded per-job column counts (summing to
+        ``total_columns``); ``job_ids`` (optional, same order) are stamped
+        onto the worker's ``service.megabatch``/``service.solo_retry``
         spans so a merged trace correlates one job across processes.
         ``timeout_s`` arms the supervisor's execution deadline (the
         strictest member deadline); ``resume`` marks a redelivered task
@@ -606,24 +643,16 @@ class ProcessWorkerPool:
             out_shm = (out_seg.name, (mega.shape[0], total_columns))
             self.shm_bytes += out_bytes
             get_metrics().inc("service.pool.shm_bytes", out_bytes)
-        task = {
-            "task_id": task_id,
-            "circuit": circuit,
-            "spec": (spec.num_batches, spec.batch_size, spec.seed),
-            "inputs": inputs,
-            "out_shm": out_shm,
-            "total_columns": total_columns,
-            "job_columns": list(job_columns),
-            "job_ids": list(job_ids or []),
-            "trace": bool(trace),
-            "resume": bool(resume),
-            "fidelity": float(fidelity),
-            "chaos": (
+        task = _task(
+            task_id, circuit, spec, inputs, total_columns, job_columns,
+            job_ids, out_shm=out_shm, trace=trace, resume=resume,
+            fidelity=fidelity,
+            chaos=(
                 self.chaos.action_for(task_id)
                 if self.chaos is not None
                 else None
             ),
-        }
+        )
         self._pending[task_id] = {
             "wid": wid,
             "handles": handles,
@@ -704,13 +733,7 @@ class ProcessWorkerPool:
         self._release_segments(pending)
         self.completed += 1
         self.resumed_batches += raw.get("resumed_batches", 0)
-        stats = self._worker_stats[wid]
-        stats["megabatches"] += 1
-        stats["solo_runs"] += raw["solo_runs"]
-        stats["jobs_done"] += sum(
-            1 for pj in raw["per_job"] or [] if pj["ok"]
-        )
-        self._plan_cache[wid] = raw["plan_cache"]
+        self._count(wid, raw)
         metrics = get_metrics()
         metrics.inc("service.pool.completed")
         metrics.observe("service.pool.task_wall_s", raw["wall_s"])
@@ -928,19 +951,6 @@ class ProcessWorkerPool:
 
     # -- reporting -----------------------------------------------------------
 
-    def worker_summaries(self) -> list[dict]:
-        """Per-worker tallies shaped like the serial service's entries."""
-        return [self._worker_stats[wid] for wid in sorted(self._worker_stats)]
-
-    def plan_cache_totals(self) -> dict[str, int]:
-        """Fleet-wide plan-cache counters (sum of last per-worker
-        snapshots)."""
-        keys = ("hits", "disk_hits", "misses", "quarantined")
-        return {
-            key: sum(snap.get(key, 0) for snap in self._plan_cache.values())
-            for key in keys
-        }
-
     def stats(self) -> dict:
         """JSON-safe pool summary for ``service.stats()["pool"]``."""
         return {
@@ -965,3 +975,74 @@ class ProcessWorkerPool:
             "leaked_segments": len(self.leaked_segments()),
             "cache_dir": self.cache_dir,
         }
+
+
+class InlinePool(_Executor):
+    """:class:`ProcessWorkerPool`'s interface, run inside this process.
+
+    The ``parallelism="none"`` executor: :meth:`submit` runs the task
+    through :func:`_run_task` at once, on one of ``num_workers``
+    simulators taken round-robin, and holds the result for the next
+    :meth:`poll`.  It reports one idle slot while no result is held, so a
+    service step dispatches exactly one group.  Spans go on the ambient
+    tracer; with no process to supervise, ``timeout_s``, ``delivery`` and
+    chaos do not apply and no crash result is produced.  Example::
+
+        pool = InlinePool(num_workers=2)
+        tid, wid = pool.submit(circuit, spec, mega, total, [total])
+        (result,) = pool.poll()
+    """
+
+    def __init__(
+        self, num_workers: int, simulator_kwargs: dict | None = None
+    ) -> None:
+        super().__init__(num_workers)
+        self.simulators = [
+            BQSimSimulator(**(simulator_kwargs or {}))
+            for _ in range(num_workers)
+        ]
+        self._next_wid = itertools.cycle(range(num_workers))
+        self._ready: list[dict] = []
+
+    @property
+    def idle_workers(self) -> int:
+        """One free slot while no result is held, none until it is polled."""
+        return 0 if self._ready else 1
+
+    @property
+    def alive_workers(self) -> int:
+        """Every simulator: nothing in this process can die alone."""
+        return len(self.simulators)
+
+    def submit(self, circuit, spec: BatchSpec, mega: np.ndarray,
+               total_columns: int, job_columns: list[int], trace=None,
+               job_ids=None, timeout_s=None, resume: bool = False,
+               delivery=None, fidelity: float = 1.0) -> tuple[int, int]:
+        """Run one packed mega-block now; returns ``(task_id, wid)``.
+
+        Takes :meth:`ProcessWorkerPool.submit`'s arguments (``trace``,
+        ``timeout_s`` and ``delivery`` are ignored).  Raises
+        :class:`ServiceError` while an earlier result is unpolled.
+        """
+        if self._ready:
+            raise ServiceError("no idle inline worker (poll for results first)")
+        wid, task_id = next(self._next_wid), next(self._task_ids)
+        task = _task(
+            task_id, circuit, spec, ("inline", mega), total_columns,
+            job_columns, job_ids, resume=resume, fidelity=fidelity,
+        )
+        raw = _run_task(self.simulators[wid], wid, task)
+        if raw["outputs"] is not None:
+            raw["outputs"] = raw["outputs"][1]
+        self._count(wid, raw)
+        self._ready.append(raw)
+        return task_id, wid
+
+    def poll(self, block: bool = False, timeout: float = 60.0) -> list[dict]:
+        """The held result, if any (never waits: ``submit`` ran the task)."""
+        ready, self._ready = self._ready, []
+        return ready
+
+    def close(self) -> None:
+        """Drop any unpolled result (there is nothing else to release)."""
+        self._ready.clear()

@@ -374,6 +374,37 @@ def test_injected_oom_degrades_but_everyone_completes():
     assert service.stats()["degraded_groups"] == 1
 
 
+def test_non_repro_error_fails_the_cohort_instead_of_stranding_it(
+    monkeypatch,
+):
+    """A simulator exception outside the ReproError family fails every
+    member with its type and message: the step returns, nothing is left
+    RUNNING.  A KeyboardInterrupt is not swallowed — it still stops a
+    serial server, and close() accounts the interrupted cohort."""
+
+    def boom(self, *args, **kwargs):
+        raise ValueError("boom")
+
+    service = make_service()
+    job = service.submit(make_circuit("ghz", 4), num_inputs=2)
+    monkeypatch.setattr(BQSimSimulator, "run", boom)
+    assert service.step() == 1
+    assert job.status is JobStatus.FAILED
+    assert job.error == "ValueError: boom"
+    assert service.lifecycle.unaccounted() == []
+
+    def interrupt(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    stopped = service.submit(make_circuit("ghz", 4), num_inputs=1)
+    monkeypatch.setattr(BQSimSimulator, "run", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        service.step()
+    service.close()
+    assert stopped.status is JobStatus.CANCELLED
+    assert service.lifecycle.unaccounted() == []
+
+
 # ---------------------------------------------------------------------------
 # client API and service stats
 # ---------------------------------------------------------------------------

@@ -128,6 +128,60 @@ def test_poisoned_job_fails_alone_inside_its_worker():
     assert np.array_equal(good_a.result, reference)
 
 
+def _poisoned_cohort_run(parallelism: str):
+    """A health="fail" service serving one qft cohort with a NaN-poisoned
+    member plus a second plan; returns the closed service and its jobs."""
+    service = BatchSimulationService(
+        num_workers=2,
+        parallelism=parallelism,
+        simulator_kwargs={"health": "fail"},
+    )
+    qft = make_circuit("qft", 5)
+    try:
+        jobs = [
+            service.submit(qft, random_batch(5, 2, 1)),
+            service.submit(
+                qft, InputBatch(np.full((32, 2), np.nan, dtype=np.complex128))
+            ),
+            service.submit(qft, random_batch(5, 3, 2)),
+            service.submit(make_circuit("ghz", 5), random_batch(5, 2, 3)),
+        ]
+        service.drain()
+    finally:
+        service.close()
+    return service, jobs
+
+
+def test_serial_and_process_modes_account_jobs_identically():
+    """Both modes run one task protocol and one finalize, so per-job
+    outcomes, lifecycle streams and the stats schema cannot drift."""
+    runs = {mode: _poisoned_cohort_run(mode) for mode in ("none", "process")}
+    (serial, serial_jobs), (pooled, pooled_jobs) = runs.values()
+    assert [job.status for job in serial_jobs].count(JobStatus.FAILED) == 1
+    for a, b in zip(serial_jobs, pooled_jobs):
+        assert a.job_id == b.job_id
+        for field in ("status", "solo_retry", "error", "attempts",
+                      "delivery_count"):
+            assert getattr(a, field) == getattr(b, field), (a.job_id, field)
+        if a.result is None:
+            assert b.result is None
+        else:
+            assert np.array_equal(a.result, b.result)
+
+        def stream(service, job_id):
+            return [
+                (event["event"], sorted(event))
+                for event in service.lifecycle.events(job_id)
+            ]
+
+        assert stream(serial, a.job_id) == stream(pooled, b.job_id)
+    serial_stats, pooled_stats = serial.stats(), pooled.stats()
+    assert set(serial_stats) == set(pooled_stats) - {"pool"}
+    assert {frozenset(w) for w in serial_stats["workers"]} == {
+        frozenset(w) for w in pooled_stats["workers"]
+    }
+
+
 # ---------------------------------------------------------------------------
 # shared plan cache: compile-once fleet-wide
 # ---------------------------------------------------------------------------
@@ -275,7 +329,7 @@ def test_pool_spans_carry_job_ids_for_correlation():
             service.close()
         spans = tracer.spans()
     dispatch = [s for s in spans if s.name == "service.dispatch"]
-    megabatch = [s for s in spans if s.name == "pool.megabatch"]
+    megabatch = [s for s in spans if s.name == "service.megabatch"]
     assert dispatch and megabatch
     assert all(s.thread.startswith("pool-worker-") for s in megabatch)
     for job in jobs:

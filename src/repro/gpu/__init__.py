@@ -1,12 +1,9 @@
 """Virtual GPU: specs, engines, task graphs, device buffers, power model."""
 
-from .analysis import CriticalPath, critical_path, slack
 from .device import DeviceBuffer, VirtualGPU
 from .engine import ENGINES, Task, Timeline, schedule
 from .graph import TaskGraph, TaskHandle
-from .memory import DEFAULT_ALIGNMENT, MemoryPool, PoolBlock
 from .power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
-from .trace import render_gantt, summarize, to_chrome_trace
 from .spec import (
     COMPLEX_BYTES,
     CpuSpec,
@@ -22,9 +19,6 @@ __all__ = [
     "COMPLEX_BYTES",
     "cpu_power_from_utilization",
     "CpuSpec",
-    "critical_path",
-    "CriticalPath",
-    "DEFAULT_ALIGNMENT",
     "DEFAULT_CPU",
     "DEFAULT_GPU",
     "dense_kernel_bytes",
@@ -33,18 +27,12 @@ __all__ = [
     "ENGINES",
     "gpu_power_from_work",
     "GpuSpec",
-    "MemoryPool",
-    "PoolBlock",
     "PowerReport",
-    "render_gantt",
     "schedule",
-    "slack",
     "state_block_bytes",
-    "summarize",
     "Task",
     "TaskGraph",
     "TaskHandle",
     "Timeline",
-    "to_chrome_trace",
     "VirtualGPU",
 ]

@@ -15,9 +15,10 @@ Design constraints, in order of importance:
 * **thread-safe** — finished spans append under a lock, the active-span
   stack is thread-local, and each span records its thread name so exported
   traces keep one track per thread;
-* **composable** — :class:`~repro.profile.StageTimer` is a thin view over
-  the global tracer: every timed stage is also a span, so the per-stage
-  wall totals and the trace always agree.
+* **composable** — a simulator run times its stages through
+  :meth:`repro.sim.base.RunObservation.stage`, which opens a span on the
+  global tracer for every timed stage, so the per-stage wall totals and
+  the trace always agree.
 """
 
 from __future__ import annotations

@@ -6,7 +6,11 @@ starts at the fastest available backend and *demotes permanently* (for the
 run that owns it) whenever the current backend fails, recording a
 ``demotion`` event per step — so a broken SciPy build, an injected backend
 fault, or a runtime error in the fast path degrades throughput instead of
-killing the batch.
+killing the batch.  Each simulator run owns one ladder
+(``RunObservation.ladder`` in :mod:`repro.sim.base`), whose ``backend`` and
+``demoted`` every run reports in ``stats["resilience"]``.  The ``loop``
+rung stays: without SciPy the ladder starts at ``numpy``, and ``loop`` is
+then the only backend left to demote to.
 
 The companion degradation mechanism — OOM-aware adaptive batch splitting —
 lives in the simulators themselves (see ``BQSimSimulator._execute_resilient``),
@@ -30,7 +34,12 @@ _DEMOTABLE = (ReproError, RuntimeError, FloatingPointError, MemoryError)
 
 
 class BackendLadder:
-    """Per-run spMM backend state with demote-on-failure semantics."""
+    """Per-run spMM backend state with demote-on-failure semantics.
+
+    ``demoted`` turns true when :meth:`apply` drops a failed backend, not
+    when the ladder merely starts below ``csr`` (an install without SciPy,
+    or ``REPRO_SPMM_BACKEND=numpy``).
+    """
 
     def __init__(self, start: str | None = None):
         if start is None:
@@ -41,17 +50,13 @@ class BackendLadder:
         if start not in BACKEND_CHAIN:
             start = BACKEND_CHAIN[-1]
         self._chain = list(BACKEND_CHAIN[BACKEND_CHAIN.index(start):])
+        #: true once a failed backend has been dropped
+        self.demoted = False
 
     @property
     def backend(self) -> str:
         """The currently active backend."""
         return self._chain[0]
-
-    @property
-    def demoted(self) -> bool:
-        return self._chain[0] != BACKEND_CHAIN[0] and len(self._chain) < len(
-            BACKEND_CHAIN
-        )
 
     def apply(
         self,
@@ -76,6 +81,7 @@ class BackendLadder:
                 if len(self._chain) == 1:
                     raise
                 failed = self._chain.pop(0)
+                self.demoted = True
                 get_resilience_log().record(
                     "demotion",
                     site=f"spmm.{failed}",

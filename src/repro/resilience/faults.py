@@ -14,9 +14,8 @@ kernel     transient compute-kernel failure before launch
 copy       transient H2D/D2H copy failure (:meth:`VirtualGPU.h2d`/``d2h``)
 bitflip    one spMM result value becomes NaN (an ELL-value bit-flip);
            detected by the kernel output check and healed by a retry
-oom        device/pool allocation raises :class:`~repro.errors.MemoryFault`
-           (``VirtualGPU.alloc`` and :meth:`MemoryPool.allocate`) — healed
-           by adaptive batch splitting
+oom        device allocation raises :class:`~repro.errors.MemoryFault`
+           (``VirtualGPU.alloc``) — healed by adaptive batch splitting
 cache      a plan-cache archive read reports corruption — the archive is
            quarantined and the plan rebuilt
 cache_io   transient plan-cache disk read failure — retried, then treated

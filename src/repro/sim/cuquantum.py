@@ -17,15 +17,12 @@ runs ("-") in Table 4.
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..circuit import Circuit, InputBatch
 from ..dd.manager import DDManager
-from ..ell.convert import ell_from_dd
-from ..ell.spmm import default_backend
 from ..fusion.array_fusion import cuquantum_plan
 from ..fusion.plan import FusionPlan
 from ..gpu.device import VirtualGPU
@@ -37,24 +34,9 @@ from ..gpu.spec import (
     dense_kernel_bytes,
     state_block_bytes,
 )
-from ..kernels.engine import ArrayEngine, get_engine
-from ..obs import CANONICAL_STAGES
-from ..profile import StageTimer
-from ..resilience import (
-    BackendLadder,
-    FaultPlan,
-    HealthPolicy,
-    RetryPolicy,
-    check_state_block,
-    fault_injection,
-)
-from .base import (
-    BatchSimulator,
-    BatchSpec,
-    PlanCache,
-    RunObservation,
-    SimulationResult,
-)
+from ..kernels.engine import ArrayEngine
+from ..resilience import FaultPlan, HealthPolicy, RetryPolicy, check_state_block
+from .base import BatchSimulator, BatchSpec, RunObservation, SimulationResult
 
 PlanProvider = Callable[[DDManager, Circuit], FusionPlan]
 
@@ -84,32 +66,16 @@ class CuQuantumSimulator(BatchSimulator):
         health: HealthPolicy | str | None = "warn",
         engine: "str | ArrayEngine | None" = None,
     ):
-        self.gpu = gpu or GpuSpec()
-        self.cpu = cpu or CpuSpec()
+        super().__init__(gpu, cpu, retry, faults, health, engine)
         self.plan_provider = plan_provider or cuquantum_plan
         if variant_name:
             self.name = variant_name
-        self._plans = PlanCache()
-        self.retry = retry
-        self.faults = faults
-        self.health = HealthPolicy.coerce(health)
-        self.engine = engine
 
     def _gate_support(self, circuit: Circuit, indices: Sequence[int]) -> int:
         qubits: set[int] = set()
         for i in indices:
             qubits.update(circuit.gates[i].all_qubits)
         return len(qubits)
-
-    def run(
-        self,
-        circuit: Circuit,
-        spec: BatchSpec,
-        batches: Sequence[InputBatch] | None = None,
-        execute: bool = True,
-    ) -> SimulationResult:
-        with fault_injection(self.faults):
-            return self._run(circuit, spec, batches, execute)
 
     def _run(
         self,
@@ -118,36 +84,16 @@ class CuQuantumSimulator(BatchSimulator):
         batches: Sequence[InputBatch] | None,
         execute: bool,
     ) -> SimulationResult:
-        wall_start = time.perf_counter()
         n = circuit.num_qubits
-        eng = get_engine(self.engine)
-        obs = RunObservation()
-        timer = StageTimer(stages=CANONICAL_STAGES)
-
-        def build():
-            mgr = DDManager(n)
-            built_plan = self.plan_provider(mgr, circuit)
-            return {"mgr": mgr, "plan": built_plan, "ells": None}
-
         # distinct providers (cuQuantum+B / cuQuantum+Q) produce distinct
         # plans for the same circuit, so the provider is part of the key
         provider_tag = getattr(
             self.plan_provider, "__name__", repr(self.plan_provider)
         )
-        with obs.tracer.span(
-            f"{self.name}.run",
-            simulator=self.name,
-            circuit=circuit.name,
-            num_qubits=n,
-            num_batches=spec.num_batches,
-            batch_size=spec.batch_size,
-            execute=execute,
-        ):
-            with timer.time("fusion") as span:
-                prepared = self._plans.get(
-                    circuit, build, extra=("cuquantum-v1", provider_tag)
-                )
-                span.set(fused_gates=len(prepared["plan"].gates))
+        with RunObservation(self, circuit, spec, execute) as obs:
+            prepared = self._fused(
+                obs, self.plan_provider, ("cuquantum-v1", provider_tag)
+            )
             plan = prepared["plan"]
 
             # dense-matrix memory footprint of every (fused) gate on the device
@@ -158,48 +104,34 @@ class CuQuantumSimulator(BatchSimulator):
             matrix_bytes = sum((1 << (2 * k)) * COMPLEX_BYTES for k in supports)
             block = state_block_bytes(n, spec.batch_size)
             if matrix_bytes + block > self.gpu.memory_bytes:
-                return SimulationResult(
-                    simulator=self.name,
-                    circuit_name=circuit.name,
-                    num_qubits=n,
-                    spec=spec,
-                    modeled_time=math.inf,
-                    wall_time=time.perf_counter() - wall_start,
-                    stats=obs.finalize(
-                        {
-                            "engine": eng.name,
-                            "failed": "dense fused gates exceed device memory",
-                            "matrix_bytes": matrix_bytes,
-                            "plan": plan,
-                        },
-                        timer,
-                        self._plans,
-                    ),
+                return obs.result(
+                    math.inf,
+                    {
+                        "failed": "dense fused gates exceed device memory",
+                        "matrix_bytes": matrix_bytes,
+                        "plan": plan,
+                    },
                 )
 
-            with timer.time("io"):
+            with obs.stage("io"):
                 batches = self._resolve_batches(circuit, spec, batches, execute)
             ells = None
             if execute:
-                with timer.time("convert"):
-                    if prepared["ells"] is None:
-                        prepared["ells"] = [
-                            ell_from_dd(fg.dd, n) for fg in plan.gates
-                        ]
-                    ells = prepared["ells"]
+                with obs.stage("convert"):
+                    ells = self._ells(prepared)
                     # warm the gather plans outside the timed kernel bodies
                     for ell in ells:
                         ell.plan()
 
-            with timer.time("execute") as span:
+            with obs.stage("execute") as span:
                 device = VirtualGPU(
                     self.gpu,
                     mode="stream",
                     retry=self.retry,
                     seed=spec.seed,
-                    engine=eng,
+                    engine=obs.engine,
                 )
-                ladder = BackendLadder() if execute else None
+                ladder = obs.ladder
                 rows = 1 << n
                 total_macs = 0.0
                 total_bytes = 0.0
@@ -267,32 +199,15 @@ class CuQuantumSimulator(BatchSimulator):
             gpu_watts=gpu_power_from_work(total_macs, total_bytes, total, self.gpu),
             cpu_watts=cpu_power_from_utilization(0.1, self.cpu),
         )
-        return SimulationResult(
-            simulator=self.name,
-            circuit_name=circuit.name,
-            num_qubits=n,
-            spec=spec,
-            modeled_time=total,
+        return obs.result(
+            total,
+            {
+                "plan": plan,
+                "macs": sum((1 << k) * rows * spec.num_inputs for k in supports),
+                "dense_matrix_bytes": matrix_bytes,
+            },
             breakdown={"simulation": total},
             power=power,
             timeline=timeline,
             outputs=outputs,
-            wall_time=time.perf_counter() - wall_start,
-            stats=obs.finalize(
-                {
-                    "engine": eng.name,
-                    "plan": plan,
-                    "macs": sum(
-                        (1 << k) * rows * spec.num_inputs for k in supports
-                    ),
-                    "dense_matrix_bytes": matrix_bytes,
-                },
-                timer,
-                self._plans,
-                resilience_extra={
-                    "backend": ladder.backend if ladder else default_backend(),
-                    "demoted": bool(ladder.demoted) if ladder else False,
-                    "task_retries": timeline.total_retries(),
-                },
-            ),
         )

@@ -14,21 +14,16 @@ device's makespan plus the shared one-time stages, so speed-up approaches
 
 from __future__ import annotations
 
-import time
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ..circuit import Circuit, InputBatch
-from ..ell.spmm import default_backend
 from ..errors import CheckpointError, SimulationError
 from ..gpu.device import VirtualGPU
 from ..gpu.power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
-from ..gpu.spec import CpuSpec, GpuSpec, ell_kernel_bytes, state_block_bytes
-from ..kernels.engine import get_engine
-from ..obs import CANONICAL_STAGES
-from ..profile import StageTimer
-from ..resilience import BackendLadder, check_state_block, fault_injection
+from ..resilience import check_state_block
 from .base import BatchSpec, RunObservation, SimulationResult
 from .bqsim import BQSimSimulator
 
@@ -40,7 +35,8 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
     are split across ``num_devices`` independent device models (plans
     compile once and are shared), modeled time is the slowest device's
     timeline, and amplitudes remain exact and bit-identical to the
-    single-GPU run.  Example::
+    single-GPU run.  Checkpoint resume is single-device, so ``run``
+    rejects ``resume``.  Example::
 
         sim = MultiGpuBQSimSimulator(num_devices=2)
         result = sim.run(make_circuit("qft", 4), BatchSpec(4, 8))
@@ -55,45 +51,22 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
         super().__init__(**kwargs)
         self.num_devices = num_devices
 
-    def run(
-        self,
-        circuit: Circuit,
-        spec: BatchSpec,
-        batches: Sequence[InputBatch] | None = None,
-        execute: bool = True,
-        resume: str | None = None,
-    ) -> SimulationResult:
-        if resume is not None:
-            raise CheckpointError(
-                "checkpoint resume is single-device; use BQSimSimulator"
-            )
-        with fault_injection(self.faults):
-            return self._run_multi(circuit, spec, batches, execute)
-
-    def _run_multi(
+    def _run(
         self,
         circuit: Circuit,
         spec: BatchSpec,
         batches: Sequence[InputBatch] | None,
         execute: bool,
+        resume: str | Path | None,
     ) -> SimulationResult:
-        wall_start = time.perf_counter()
-        n = circuit.num_qubits
-        eng = get_engine(self.engine)
-        obs = RunObservation()
-        timer = StageTimer(stages=CANONICAL_STAGES)
-
-        with obs.tracer.span(
-            f"{self.name}.run",
-            simulator=self.name,
-            circuit=circuit.name,
-            num_qubits=n,
-            num_devices=self.num_devices,
-            num_batches=spec.num_batches,
-            batch_size=spec.batch_size,
-            execute=execute,
-        ):
-            prepared, plan_source = self._prepare(circuit, execute, timer)
+        if resume is not None:
+            raise CheckpointError(
+                "checkpoint resume is single-device; use BQSimSimulator"
+            )
+        with RunObservation(
+            self, circuit, spec, execute, num_devices=self.num_devices
+        ) as obs:
+            prepared, plan_source = self._prepare(circuit, execute, obs)
             plan = prepared["plan"]
             conv_infos = prepared["conv_infos"]
             t_fusion = self.cpu.fusion_time(
@@ -102,7 +75,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             t_conversion = sum(info["time"] for info in conv_infos)
             ells = prepared["ells"] if execute else None
 
-            with timer.time("io"):
+            with obs.stage("io"):
                 batches = self._resolve_batches(circuit, spec, batches, execute)
             # deal batches round-robin: device d gets batches d, d+k, d+2k, ...
             shards: list[list[int]] = [
@@ -114,11 +87,8 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             outputs: list[np.ndarray | None] | None = (
                 [None] * spec.num_batches if execute else None
             )
-            #: one fallback ladder shared by every device: a backend broken
-            #: on one shard is broken on all of them
-            ladder = BackendLadder() if execute else None
             total_retries = 0
-            with timer.time("execute"):
+            with obs.stage("execute"):
                 for device_index, shard in enumerate(shards):
                     if not shard:
                         makespans.append(0.0)
@@ -133,7 +103,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
                             mode="graph" if self.task_graph else "stream",
                             retry=self.retry,
                             seed=spec.seed + device_index,
-                            engine=eng,
+                            engine=obs.engine,
                         )
                         shard_spec = BatchSpec(len(shard), spec.batch_size, spec.seed)
                         shard_batches = (
@@ -148,9 +118,11 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
                             )
 
                         work = {"macs": 0.0, "bytes": 0.0}
+                        # the run's one fallback ladder serves every device:
+                        # a backend broken on one shard is broken on all
                         shard_out, _ = self._simulate(
                             device, plan, conv_infos, ells, shard_batches,
-                            shard_spec, work, ladder=ladder,
+                            shard_spec, work, ladder=obs.ladder,
                             on_batch=on_batch if execute else None,
                         )
                         timeline = device.run()
@@ -177,12 +149,18 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
                 min(t_fusion / total, 1.0) if total > 0 else 0.0, self.cpu
             ),
         )
-        return SimulationResult(
-            simulator=self.name,
-            circuit_name=circuit.name,
-            num_qubits=n,
-            spec=spec,
-            modeled_time=total,
+        return obs.result(
+            total,
+            {
+                "fused_gates": len(plan),
+                "total_cost": plan.total_cost,
+                "macs": plan.macs(spec.num_inputs),
+                "num_devices": self.num_devices,
+                "device_makespans": makespans,
+                "plan": plan,
+                "plan_source": plan_source,
+                "plan_key": prepared["key"],
+            },
             breakdown={
                 "fusion": t_fusion,
                 "conversion": t_conversion,
@@ -190,25 +168,5 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
             },
             power=power,
             outputs=outputs,
-            wall_time=time.perf_counter() - wall_start,
-            stats=obs.finalize(
-                {
-                    "engine": eng.name,
-                    "fused_gates": len(plan),
-                    "total_cost": plan.total_cost,
-                    "macs": plan.macs(spec.num_inputs),
-                    "num_devices": self.num_devices,
-                    "device_makespans": makespans,
-                    "plan": plan,
-                    "plan_source": plan_source,
-                    "plan_key": prepared["key"],
-                },
-                timer,
-                self._plans,
-                resilience_extra={
-                    "backend": ladder.backend if ladder else default_backend(),
-                    "demoted": bool(ladder.demoted) if ladder else False,
-                    "task_retries": total_retries,
-                },
-            ),
+            resilience={"task_retries": total_retries},
         )

@@ -9,38 +9,16 @@ kernels of the fused dense blocks add a comparatively small serialized term.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Sequence
 
-import numpy as np
-
 from ..circuit import Circuit, InputBatch
-from ..dd.manager import DDManager
-from ..ell.convert import ell_from_dd
-from ..ell.spmm import build_apply_plans
 from ..fusion.array_fusion import aer_fusion
 from ..gpu.power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
 from ..gpu.spec import COMPLEX_BYTES, CpuSpec, GpuSpec
-from ..kernels.engine import ArrayEngine, get_engine
-from ..obs import CANONICAL_STAGES
-from ..profile import StageTimer
-from ..resilience import (
-    BackendLadder,
-    FaultPlan,
-    HealthPolicy,
-    RetryPolicy,
-    RetrySession,
-    apply_with_recovery,
-    check_state_block,
-    fault_injection,
-)
-from .base import (
-    BatchSimulator,
-    BatchSpec,
-    PlanCache,
-    RunObservation,
-    SimulationResult,
-)
+from ..kernels.engine import ArrayEngine
+from ..resilience import FaultPlan, HealthPolicy, RetryPolicy
+from .base import BatchSimulator, BatchSpec, RunObservation, SimulationResult
 
 
 class QiskitAerSimulator(BatchSimulator):
@@ -67,24 +45,8 @@ class QiskitAerSimulator(BatchSimulator):
         health: HealthPolicy | str | None = "warn",
         engine: "str | ArrayEngine | None" = None,
     ):
-        self.gpu = gpu or GpuSpec()
-        self.cpu = cpu or CpuSpec()
+        super().__init__(gpu, cpu, retry, faults, health, engine)
         self.max_fused_qubits = max_fused_qubits
-        self._plans = PlanCache()
-        self.retry = retry
-        self.faults = faults
-        self.health = HealthPolicy.coerce(health)
-        self.engine = engine
-
-    def run(
-        self,
-        circuit: Circuit,
-        spec: BatchSpec,
-        batches: Sequence[InputBatch] | None = None,
-        execute: bool = True,
-    ) -> SimulationResult:
-        with fault_injection(self.faults):
-            return self._run(circuit, spec, batches, execute)
 
     def _run(
         self,
@@ -93,32 +55,13 @@ class QiskitAerSimulator(BatchSimulator):
         batches: Sequence[InputBatch] | None,
         execute: bool,
     ) -> SimulationResult:
-        wall_start = time.perf_counter()
-        n = circuit.num_qubits
-        rows = 1 << n
-        eng = get_engine(self.engine)
-        obs = RunObservation()
-        timer = StageTimer(stages=CANONICAL_STAGES)
-
-        def build():
-            mgr = DDManager(n)
-            built = aer_fusion(mgr, circuit, max_fused_qubits=self.max_fused_qubits)
-            return {"mgr": mgr, "plan": built, "ells": None}
-
-        with obs.tracer.span(
-            f"{self.name}.run",
-            simulator=self.name,
-            circuit=circuit.name,
-            num_qubits=n,
-            num_batches=spec.num_batches,
-            batch_size=spec.batch_size,
-            execute=execute,
-        ):
-            with timer.time("fusion") as span:
-                prepared = self._plans.get(
-                    circuit, build, extra=("aer-v1", self.max_fused_qubits)
-                )
-                span.set(fused_gates=len(prepared["plan"].gates))
+        rows = 1 << circuit.num_qubits
+        with RunObservation(self, circuit, spec, execute) as obs:
+            prepared = self._fused(
+                obs,
+                partial(aer_fusion, max_fused_qubits=self.max_fused_qubits),
+                ("aer-v1", self.max_fused_qubits),
+            )
             plan = prepared["plan"]
 
             # host cost per input run (already folded over 8 worker processes)
@@ -147,39 +90,7 @@ class QiskitAerSimulator(BatchSimulator):
             # kernels of the 8 processes interleave under the host overhead;
             # only the excess beyond the host time extends the run
             total = t_host + max(0.0, t_kernels - t_host)
-
-            with timer.time("io"):
-                batches = self._resolve_batches(circuit, spec, batches, execute)
-            outputs: list[np.ndarray] | None = None
-            if execute:
-                with timer.time("convert"):
-                    if prepared["ells"] is None:
-                        prepared["ells"] = [
-                            ell_from_dd(fg.dd, n) for fg in plan.gates
-                        ]
-                    apply_plans = build_apply_plans(prepared["ells"])
-                with timer.time("execute") as span:
-                    ladder = BackendLadder()
-                    session = RetrySession(self.retry, seed=spec.seed)
-                    outputs = []
-                    for ib, batch in enumerate(batches):
-                        states = (
-                            eng.from_host(batch.states)
-                            if eng.is_device
-                            else batch.states
-                        )
-                        for apply_plan in apply_plans:
-                            states = apply_with_recovery(
-                                ladder, apply_plan, states, session, engine=eng
-                            )
-                        states = check_state_block(
-                            eng.to_host(states), self.health,
-                            label=f"{circuit.name} batch {ib}",
-                        )
-                        outputs.append(states)
-                    span.set(
-                        num_kernels=len(apply_plans), backend=ladder.backend
-                    )
+            outputs = self._execute_per_input(obs, prepared, batches)
 
         power = PowerReport(
             gpu_watts=gpu_power_from_work(
@@ -190,24 +101,14 @@ class QiskitAerSimulator(BatchSimulator):
             ),
             cpu_watts=cpu_power_from_utilization(1.0, self.cpu),
         )
-        return SimulationResult(
-            simulator=self.name,
-            circuit_name=circuit.name,
-            num_qubits=n,
-            spec=spec,
-            modeled_time=total,
+        return obs.result(
+            total,
+            {
+                "plan": plan,
+                "macs": plan.macs(num_inputs),
+                "host_per_input": host_per_input,
+            },
             breakdown={"host": t_host, "kernels": t_kernels},
             power=power,
             outputs=outputs,
-            wall_time=time.perf_counter() - wall_start,
-            stats=obs.finalize(
-                {
-                    "engine": eng.name,
-                    "plan": plan,
-                    "macs": plan.macs(num_inputs),
-                    "host_per_input": host_per_input,
-                },
-                timer,
-                self._plans,
-            ),
         )

@@ -24,7 +24,7 @@ from repro.obs import (
     write_metrics_jsonl,
 )
 from repro.obs.export import metrics_record
-from repro.profile import StageTimer
+from repro.resilience import get_resilience_log
 from repro.sim import (
     BQSimSimulator,
     BatchSpec,
@@ -33,6 +33,7 @@ from repro.sim import (
     MultiGpuBQSimSimulator,
     QiskitAerSimulator,
 )
+from repro.sim.base import RunObservation
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +80,13 @@ def test_tracing_context_installs_and_restores():
 
 
 def test_stage_timer_is_a_tracer_view():
-    tracer = Tracer()
-    timer = StageTimer(stages=CANONICAL_STAGES, tracer=tracer)
-    with timer.time("fusion", gates=5) as span:
-        span.set(fused=2)
-    snapshot = timer.snapshot()
+    with tracing() as tracer:
+        obs = RunObservation(
+            BQSimSimulator(), make_circuit("ghz", 3), BatchSpec(1, 2), False
+        )
+        with obs.stage("fusion", gates=5) as span:
+            span.set(fused=2)
+    snapshot = obs.result(0.0, {}).stats["wall_breakdown"]
     assert tuple(snapshot) == CANONICAL_STAGES
     assert snapshot["fusion"] > 0 and snapshot["convert"] == 0.0
     (span,) = tracer.spans()
@@ -369,6 +372,14 @@ def test_canonical_wall_breakdown_all_simulators(factory):
     assert tuple(result.stats["wall_breakdown"]) == CANONICAL_STAGES
     assert "plan_cache" in result.stats
     assert "metrics" in result.stats
+    # every simulator reports the spMM ladder in the same resilience block
+    # (BQSim alone adds its batch-split and resume counters)
+    resilience = result.stats["resilience"]
+    expected = set(get_resilience_log().summary_since(0)) | {
+        "backend", "demoted", "task_retries"
+    }
+    assert set(resilience) - {"batch_split", "resumed_batches"} == expected
+    assert resilience["demoted"] is False
 
 
 @pytest.mark.parametrize(

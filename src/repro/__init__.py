@@ -18,7 +18,6 @@ from .sim import (
     FlatDDSimulator,
     MultiGpuBQSimSimulator,
     QiskitAerSimulator,
-    cross_validate,
 )
 from .service import BatchSimulationService, ServiceClient
 
@@ -29,7 +28,6 @@ __all__ = [
     "BatchSpec",
     "BQSimSimulator",
     "Circuit",
-    "cross_validate",
     "CuQuantumSimulator",
     "FlatDDSimulator",
     "generate_batches",

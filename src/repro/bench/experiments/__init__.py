@@ -1,7 +1,6 @@
 """One module per table/figure of the paper's evaluation section."""
 
 from . import (
-    ablation_formats,
     scaling_multigpu,
     fig5,
     fig9,
@@ -16,7 +15,6 @@ from . import (
 )
 
 ALL_EXPERIMENTS = {
-    "ablation_formats": ablation_formats,
     "scaling_multigpu": scaling_multigpu,
     "table1": table1,
     "table2": table2,

@@ -3,13 +3,20 @@
 Supports the subset used by MQT-Bench exports: a single (or multiple) qreg,
 creg declarations, the qelib1 gate set handled by
 :mod:`repro.circuit.gates`, ``barrier`` and ``measure`` (both ignored), and
-constant parameter expressions built from numbers, ``pi``, ``+ - * /``,
-parentheses, and unary minus.
+constant parameter expressions built from numbers, ``pi``, ``+ - * / **``,
+``sin cos tan exp ln sqrt``, parentheses, and unary minus.
 
 Custom ``gate`` definitions are supported by macro expansion (bodies may
 reference the definition's formal parameters and qubits, and may call other
 custom gates); ``if`` statements and ``opaque`` declarations are rejected
 with a :class:`~repro.errors.QasmError` rather than silently mis-simulated.
+
+Malformed input is refused with a :class:`~repro.errors.QasmError` that
+carries the line: the program must open with exactly one
+``OPENQASM 2.0;`` header, every statement ends with ``;``, register
+sizes and indices are ASCII digits, and a parameter must evaluate to a
+finite real (``1/0``, ``sqrt(-1)`` or ``1e400`` are errors, not crashes
+or infinities).
 """
 
 from __future__ import annotations
@@ -70,7 +77,13 @@ def _eval_param(expr: str, line: int, bindings: Mapping[str, float] | None = Non
                 return fns[node.func.id](walk(node.args[0]))
         raise QasmError(f"unsupported parameter expression {expr!r}", line)
 
-    return walk(tree)
+    try:
+        value = walk(tree)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise QasmError(f"cannot evaluate {expr!r}: {exc}", line) from None
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise QasmError(f"parameter {expr!r} is not a finite real", line)
+    return value
 
 
 def _split_gate_call(stmt: str, line: int) -> tuple[str, str | None, str]:
@@ -238,11 +251,22 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     text, gate_defs = _extract_gate_defs(text)
     statements: list[tuple[int, str]] = []
     lineno = 1
-    for chunk in text.split(";"):
+    *chunks, tail = text.split(";")
+    for chunk in chunks:
         stmt = chunk.strip()
         lineno += chunk.count("\n")
         if stmt:
             statements.append((lineno, " ".join(stmt.split())))
+    if tail.strip():
+        raise QasmError(
+            f"statement {' '.join(tail.split())!r} does not end with ';'",
+            lineno + tail.rstrip().count("\n"),
+        )
+    if not statements or statements[0][1] != "OPENQASM 2.0":
+        raise QasmError(
+            "program must start with 'OPENQASM 2.0;'",
+            statements[0][0] if statements else 1,
+        )
 
     qregs: dict[str, _Register] = {}
     total_qubits = 0
@@ -252,7 +276,7 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     def resolve(operand: str, line: int) -> list[int]:
         """Map ``reg[i]`` or bare ``reg`` to global qubit indices."""
         operand = operand.strip()
-        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", operand)
+        m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$", operand)
         if m:
             reg, idx = m.group(1), int(m.group(2))
             if reg not in qregs:
@@ -265,14 +289,14 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
             return list(range(reg.offset, reg.offset + reg.size))
         raise QasmError(f"bad operand {operand!r}", line)
 
-    for line, stmt in statements:
+    for line, stmt in statements[1:]:
         head = stmt.split(maxsplit=1)[0].lower()
         if head == "openqasm":
-            continue
+            raise QasmError("duplicate 'OPENQASM' header", line)
         if head == "include":
             continue
         if head == "qreg":
-            m = re.match(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$", stmt)
+            m = re.match(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$", stmt)
             if not m:
                 raise QasmError(f"bad qreg declaration {stmt!r}", line)
             qregs[m.group(1)] = _Register(m.group(1), int(m.group(2)), total_qubits)

@@ -24,11 +24,9 @@ from .export import (
     reachable_nodes,
     vector_to_dense,
 )
-from .dot import matrix_to_dot, vector_to_dot
 from .flat import FlatDD, flat_entry, flatten_matrix_dd
 from .manager import DDManager
 from .node import Edge, MNode, ONE_EDGE, VNode, ZERO_EDGE
-from .simulate import simulate_circuit_dd, simulate_state_dd, state_dd_size
 from .nzrv import (
     is_diagonal_dd,
     is_permutation_like,
@@ -59,7 +57,6 @@ __all__ = [
     "matrix_dd_from_dense",
     "matrix_kron",
     "matrix_to_dense",
-    "matrix_to_dot",
     "max_nzr",
     "MNode",
     "nzr_statistics",
@@ -67,16 +64,12 @@ __all__ = [
     "ONE_EDGE",
     "process_fidelity",
     "reachable_nodes",
-    "simulate_circuit_dd",
-    "simulate_state_dd",
-    "state_dd_size",
     "trace",
     "vector_dd_from_dense",
     "vector_inner",
     "vector_max",
     "vector_moments",
     "vector_to_dense",
-    "vector_to_dot",
     "VNode",
     "ZERO_EDGE",
 ]

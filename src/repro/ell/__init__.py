@@ -1,13 +1,5 @@
 """ELL sparse format, the DD-to-ELL converter, and the spMM kernel math."""
 
-from .alternatives import (
-    COOMatrix,
-    CSRMatrix,
-    coo_from_ell,
-    coo_spmm,
-    csr_from_ell,
-    csr_spmm,
-)
 from .convert import DEFAULT_TAU, ell_from_dd, ell_from_flat_gpu
 from .format import ELLMatrix, ell_from_dense
 from .persist import (
@@ -34,12 +26,6 @@ __all__ = [
     "build_apply_plans",
     "bundle_from_plan",
     "CompiledPlan",
-    "coo_from_ell",
-    "coo_spmm",
-    "COOMatrix",
-    "csr_from_ell",
-    "csr_spmm",
-    "CSRMatrix",
     "DEFAULT_TAU",
     "ell_from_dd",
     "ell_from_dense",

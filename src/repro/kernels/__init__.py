@@ -7,9 +7,7 @@ Public surface of the engine layer (ROADMAP item 1):
   environment variable, and the :class:`ArrayEngine` hierarchy;
 * the named-kernel registry — :func:`kernel_names`, :func:`get_kernel`,
   :func:`call`, with per-backend call counters in ``repro.obs`` metrics;
-* the kernels themselves (:mod:`repro.kernels.ops`);
-* :class:`ParamBatch` — parameter-batched SIMD execution of K
-  same-structure circuits.
+* the kernels themselves (:mod:`repro.kernels.ops`).
 """
 
 from .engine import (
@@ -30,7 +28,6 @@ from .engine import (
 )
 from .registry import call, get_kernel, kernel, kernel_names
 from . import ops
-from .param_batch import ParamBatch, structural_fingerprint
 
 __all__ = [
     "ENGINE_ENV",
@@ -40,7 +37,6 @@ __all__ = [
     "EngineUnavailableError",
     "FakeGpuEngine",
     "NumpyEngine",
-    "ParamBatch",
     "available_engines",
     "call",
     "cpu",
@@ -52,6 +48,5 @@ __all__ = [
     "kernel_names",
     "ops",
     "set_default_engine",
-    "structural_fingerprint",
     "use_engine",
 ]

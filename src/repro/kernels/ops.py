@@ -14,11 +14,8 @@ Kernels:
 * ``ell.gather.width1`` — permutation/diagonal gates: one gather-multiply.
 * ``ell.gather.spmm`` — the cache-blocked ELL gather + multiply-accumulate.
 * ``ell.gather.slots`` — the reference per-slot loop.
-* ``ell.gather.stacked`` — the ParamBatch SIMD variant: one call applies
-  K parameter sets' values over a shared column structure.
-* ``dense.apply`` / ``dense.apply.stacked`` — dense gate application by
-  amplitude-index gather + ``einsum`` (the statevector ground truth and
-  its K-way parameter-batched form).
+* ``dense.apply`` — dense gate application by amplitude-index gather +
+  ``einsum`` (the statevector ground truth).
 * ``batch.rotate.merge`` / ``batch.rotate.copy`` — buffer-rotation data
   movement: merging split sub-batches and writing an output buffer.
 * ``state.init`` / ``state.normalize`` — statevector initialization and
@@ -80,30 +77,6 @@ def ell_gather_slots(engine: ArrayEngine, values, cols, states, out):
     return out
 
 
-@kernel("ell.gather.stacked")
-def ell_gather_stacked(engine: ArrayEngine, values, cols, states):
-    """Parameter-batched ELL spMM: K value sets over one column structure.
-
-    ``values`` has shape ``(K, rows, width)`` — one ELL value matrix per
-    parameter set, all sharing ``cols`` ``(rows, width)`` — and
-    ``states`` has shape ``(K, rows, batch)``.  One call computes
-    ``out[p, r, b] = sum_k values[p, r, k] * states[p, cols[r, k], b]``
-    for every parameter set at once.
-    """
-    xp = engine.xp
-    if values.ndim != 3 or states.ndim != 3:
-        raise SimulationError("stacked spMM expects (K, rows, ...) operands")
-    if values.shape[0] != states.shape[0]:
-        raise SimulationError(
-            f"stacked spMM set-count mismatch: {values.shape[0]} value sets "
-            f"vs {states.shape[0]} state blocks"
-        )
-    acc = xp.zeros_like(states)
-    for k in engine.slot_order(values.shape[2]):
-        acc += values[:, :, k : k + 1] * states[:, cols[:, k], :]
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # dense gate application
 # ---------------------------------------------------------------------------
@@ -139,25 +112,6 @@ def dense_gate_apply(engine: ArrayEngine, matrix, states, idx):
     xp = engine.xp
     gathered = states[idx, :]
     states[idx, :] = xp.einsum("ij,gjb->gib", matrix, gathered)
-    return states
-
-
-@kernel("dense.apply.stacked")
-def dense_gate_apply_stacked(engine: ArrayEngine, matrices, states, idx):
-    """Parameter-batched dense apply: K matrices, K state blocks, one op.
-
-    ``states`` is ``(K, 2^n, batch)`` and ``matrices`` ``(K, d, d)`` —
-    the SIMD shape of manyq: all K parametric circuits sharing one
-    structure advance one gate with a single tensor contraction.
-    """
-    xp = engine.xp
-    if matrices.shape[0] != states.shape[0]:
-        raise SimulationError(
-            f"stacked apply set-count mismatch: {matrices.shape[0]} matrices "
-            f"vs {states.shape[0]} state blocks"
-        )
-    gathered = states[:, idx, :]
-    states[:, idx, :] = xp.einsum("kij,kgjb->kgib", matrices, gathered)
     return states
 
 

@@ -215,8 +215,8 @@ def metrics_record(label: str, metrics: dict, **extra) -> dict:
     return record
 
 
-#: result.stats entries that are live objects or bulk arrays, not JSON
-_NON_JSON_STATS = ("plan", "snapshots")
+#: result.stats entries that are live objects, not JSON
+_NON_JSON_STATS = ("plan",)
 
 
 def simulation_stats_record(result) -> dict:
@@ -225,7 +225,7 @@ def simulation_stats_record(result) -> dict:
     Everything a script needs without parsing human output: identity,
     modeled/wall timings and breakdowns, and the full stats dict —
     including ``plan_cache`` and ``resilience`` summaries — minus the live
-    objects (the fusion plan, snapshot arrays) that have no JSON form.
+    fusion plan, which has no JSON form.
     """
     stats = {
         key: value

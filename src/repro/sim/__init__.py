@@ -4,11 +4,9 @@ from .base import BatchSimulator, BatchSpec, SimulationResult
 from .bqsim import BQSimSimulator, buffer_indices
 from .cuquantum import CuQuantumSimulator
 from .flatdd import FlatDDSimulator
-from .incremental import IncrementalSession, IncrementalUpdate
 from .multigpu import MultiGpuBQSimSimulator
 from .qiskit_aer import QiskitAerSimulator
 from .statevector import apply_gate, simulate_batch, simulate_state
-from .validate import cross_validate
 
 __all__ = [
     "apply_gate",
@@ -16,11 +14,8 @@ __all__ = [
     "BatchSpec",
     "BQSimSimulator",
     "buffer_indices",
-    "cross_validate",
     "CuQuantumSimulator",
     "FlatDDSimulator",
-    "IncrementalSession",
-    "IncrementalUpdate",
     "MultiGpuBQSimSimulator",
     "QiskitAerSimulator",
     "simulate_batch",

@@ -107,7 +107,6 @@ class BQSimSimulator(BatchSimulator):
         use_ell: bool = True,
         task_graph: bool = True,
         max_fused_cost: int | None = None,
-        snapshots: bool = False,
         cache_dir: str | Path | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultPlan | str | None = None,
@@ -124,9 +123,6 @@ class BQSimSimulator(BatchSimulator):
         self.use_ell = use_ell
         self.task_graph = task_graph
         self.max_fused_cost = max_fused_cost
-        #: capture the full state after every fused gate (paper Section 2.1:
-        #: full-state simulation exposes the amplitudes at each gate)
-        self.snapshots = snapshots
         #: optional disk tier: compiled plans round-trip through
         #: ``cache_dir`` (or $REPRO_PLAN_CACHE) so warm *processes* skip
         #: fusion and conversion entirely
@@ -505,7 +501,7 @@ class BQSimSimulator(BatchSimulator):
                         )
                     return states
 
-                device, work, outputs, snapshots, split = self._execute_resilient(
+                device, work, outputs, split = self._execute_resilient(
                     plan,
                     conv_infos,
                     ells,
@@ -550,7 +546,6 @@ class BQSimSimulator(BatchSimulator):
                 "plan_source": plan_source,
                 "plan_key": prepared["key"],
                 "overlap_fraction": timeline.overlap_fraction(),
-                "snapshots": snapshots,
                 "approx": prepared.get("approx")
                 or FidelityLedger(budget=self.fidelity).to_dict(),
             },
@@ -599,7 +594,7 @@ class BQSimSimulator(BatchSimulator):
             )
             work = {"macs": 0.0, "bytes": 0.0}
             try:
-                outputs, snapshots = self._simulate(
+                outputs = self._simulate(
                     device,
                     plan,
                     conv_infos,
@@ -620,7 +615,7 @@ class BQSimSimulator(BatchSimulator):
                     "batch_split", site="oom", split=split, reason=str(exc)
                 )
                 continue
-            return device, work, outputs, snapshots, split
+            return device, work, outputs, split
 
     def _load_checkpoint_outputs(
         self,
@@ -675,7 +670,7 @@ class BQSimSimulator(BatchSimulator):
         skip: int = 0,
         ladder: BackendLadder | None = None,
         on_batch=None,
-    ) -> tuple[list[np.ndarray] | None, list[list[np.ndarray]] | None]:
+    ) -> list[np.ndarray] | None:
         """Build (and, when ``batches`` is given, numerically execute) the
         rotating-buffer task graph.
 
@@ -707,9 +702,6 @@ class BQSimSimulator(BatchSimulator):
         writer = [None] * NUM_BUFFERS  # last task writing each buffer
         readers: list[list] = [[] for _ in range(NUM_BUFFERS)]
         outputs: list[np.ndarray] | None = [] if executing else None
-        snapshots: list[list[np.ndarray]] | None = (
-            [] if (self.snapshots and executing) else None
-        )
         dfs_penalty = 1.0 if self.use_ell else float(n)
         #: global sub-batch counter — drives the buffer rotation, so a split
         #: run keeps the paper's double-buffered dependency pattern intact
@@ -717,11 +709,6 @@ class BQSimSimulator(BatchSimulator):
 
         for ib in range(skip, spec.num_batches):
             parts: list[np.ndarray] = []
-            ksnaps: list[list[np.ndarray]] | None = (
-                [[] for _ in range(len(plan.gates))]
-                if snapshots is not None
-                else None
-            )
             for part in range(split):
                 lo = part * sub_size
                 width_part = min(sub_size, spec.batch_size - lo)
@@ -788,19 +775,6 @@ class BQSimSimulator(BatchSimulator):
                     readers[src].append(handle)
                     writer[dst] = handle
                     readers[dst] = []
-                    if self.snapshots:
-                        # per-gate full-state capture: an extra D2H per kernel
-                        if executing:
-                            snap_handle, snap = device.d2h(
-                                buffers[dst], [handle], name=f"snap:k{ik}:{tag}"
-                            )
-                            ksnaps[ik].append(snap)
-                        else:
-                            snap_handle = device.raw_task(
-                                f"snap:k{ik}:{tag}", "d2h",
-                                self.gpu.copy_time(part_block), [handle],
-                            )
-                        readers[dst].append(snap_handle)
 
                 final_idx, _ = buffer_indices(jb, len(plan.gates), kernels)
                 deps = [writer[final_idx]] if writer[final_idx] else []
@@ -821,8 +795,4 @@ class BQSimSimulator(BatchSimulator):
                 if on_batch is not None:
                     merged = on_batch(ib, merged)
                 outputs.append(merged)
-                if snapshots is not None:
-                    snapshots.append(
-                        [_kernels.batch_merge(device.engine, s) for s in ksnaps]
-                    )
-        return outputs, snapshots
+        return outputs

@@ -120,7 +120,7 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
                         work = {"macs": 0.0, "bytes": 0.0}
                         # the run's one fallback ladder serves every device:
                         # a backend broken on one shard is broken on all
-                        shard_out, _ = self._simulate(
+                        shard_out = self._simulate(
                             device, plan, conv_infos, ells, shard_batches,
                             shard_spec, work, ladder=obs.ladder,
                             on_batch=on_batch if execute else None,

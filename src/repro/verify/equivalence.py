@@ -3,9 +3,10 @@ BQCS application, after Burgholzer & Wille's "power of simulation").
 
 Two complementary deciders:
 
-* :func:`check_exact` — build the DD of ``b . a^-1``; hash-consing makes
-  "is it the identity (times a unit phase)" a structural comparison.
-  Complete but can be expensive for wide, unstructured circuits.
+* :func:`check_exact` — build the DD of ``b . a^-1`` and walk it once per
+  node: it is the identity times a unit phase iff every node is diagonal
+  with unit diagonal weights.  Complete but can be expensive for wide,
+  unstructured circuits.
 * :func:`check_simulative` — run shared random input batches through both
   circuits with BQSim and compare amplitudes up to one global phase.
   One-sided (can only *refute* with certainty), but random states make a
@@ -23,6 +24,7 @@ import numpy as np
 from ..circuit.circuit import Circuit
 from ..dd.build import circuit_matrix_dd
 from ..dd.manager import DDManager
+from ..dd.node import Edge
 from ..errors import SimulationError
 from ..sim.base import BatchSpec
 from ..sim.bqsim import BQSimSimulator
@@ -41,6 +43,31 @@ class EquivalenceResult:
         return self.equivalent
 
 
+def _is_unit_diagonal(edge: Edge, tol: float) -> bool:
+    """Whether every node below ``edge`` is diagonal with both diagonal
+    weights within ``tol`` of 1, i.e. the DD is the identity up to its
+    root weight.
+
+    Compared by value rather than by node identity: weight snapping can
+    leave ``rz(t) . rz(-t)`` a hair off the identity's weights, so its
+    node is a different one.
+    """
+    seen: set[int] = set()
+    stack = [edge.node]
+    while stack:
+        node = stack.pop()
+        if node is None or node.nid in seen:
+            continue
+        seen.add(node.nid)
+        c00, c01, c10, c11 = node.children
+        if not (c01.is_zero and c10.is_zero):
+            return False
+        if abs(c00.weight - 1.0) > tol or abs(c11.weight - 1.0) > tol:
+            return False
+        stack += [c00.node, c11.node]
+    return True
+
+
 def check_exact(a: Circuit, b: Circuit, tol: float = 1e-9) -> EquivalenceResult:
     """DD-exact equivalence up to global phase."""
     if a.num_qubits != b.num_qubits:
@@ -50,10 +77,7 @@ def check_exact(a: Circuit, b: Circuit, tol: float = 1e-9) -> EquivalenceResult:
         circuit_matrix_dd(mgr, b.gates),
         circuit_matrix_dd(mgr, a.inverse().gates),
     )
-    identity = mgr.identity()
-    if product.node is not identity.node:
-        return EquivalenceResult(False, "exact")
-    if abs(abs(product.weight) - 1.0) > tol:
+    if abs(abs(product.weight) - 1.0) > tol or not _is_unit_diagonal(product, tol):
         return EquivalenceResult(False, "exact")
     return EquivalenceResult(True, "exact", phase=product.weight)
 

@@ -1,12 +1,16 @@
-"""API quality gates: documentation and export hygiene for every package."""
+"""API quality gates: documentation and export hygiene for every package,
+and a guard that every module is reached from a system entry point."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.bench.experiments import ALL_EXPERIMENTS
 
 PACKAGES = [
     "repro",
@@ -20,10 +24,7 @@ PACKAGES = [
     "repro.gpu",
     "repro.sim",
     "repro.bench",
-    "repro.transpile",
     "repro.verify",
-    "repro.noise",
-    "repro.vqa",
     "repro.testing",
 ]
 
@@ -97,3 +98,72 @@ def test_reexported_api_docstrings_include_examples():
 
 def test_package_version():
     assert repro.__version__
+
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: modules no system path calls that stay on purpose: the dense reference
+#: every simulator test compares against, and the mutation operators and
+#: fuzzer that the cross-path differential oracle grows from
+UNREACHED_BY_DESIGN = {
+    "repro.sim.statevector",
+    "repro.testing.fuzzer",
+    "repro.testing.mutations",
+}
+
+
+def _source_modules() -> dict[str, Path]:
+    modules = {}
+    for path in SRC.rglob("*.py"):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def test_every_module_is_reached_from_a_system_entry_point():
+    """Walk static imports (function-level ones too) from the CLI, the
+    bench CLI and every paper experiment.  A name imported through a
+    package ``__init__`` counts for the module that defines it; the
+    ``__init__`` re-exports themselves call nothing."""
+    modules = _source_modules()
+    packages = {m for m, path in modules.items() if path.name == "__init__.py"}
+
+    def imports(module):
+        """(imported module, imported names) for every import statement."""
+        package = module if module in packages else module.rpartition(".")[0]
+        for node in ast.walk(ast.parse(modules[module].read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, ()
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    anchor = package.rsplit(".", node.level - 1)[0]
+                    base = f"{anchor}.{base}" if base else anchor
+                yield base, tuple(alias.name for alias in node.names)
+
+    def defining_module(module, name):
+        if f"{module}.{name}" in modules:
+            return f"{module}.{name}"
+        if module in packages:
+            for base, names in imports(module):
+                if name in names:
+                    return defining_module(base, name)
+        return module
+
+    roots = ["repro.__main__", "repro.bench.__main__"]
+    roots += [experiment.__name__ for experiment in ALL_EXPERIMENTS.values()]
+    reached, todo = set(), roots
+    while todo:
+        module = todo.pop()
+        if module in reached or module not in modules:
+            continue
+        reached.add(module)
+        if module in packages:
+            continue
+        for base, names in imports(module):
+            todo += [defining_module(base, n) for n in names] if names else [base]
+    unreached = set(modules) - packages - reached
+    assert unreached == UNREACHED_BY_DESIGN, sorted(unreached ^ UNREACHED_BY_DESIGN)

@@ -25,7 +25,7 @@ def test_registry_is_complete():
     assert set(ALL_EXPERIMENTS) == {
         "table1", "table2", "table3", "table4",
         "fig5", "fig9", "fig10", "fig11", "fig12", "fig13",
-        "ablation_formats", "scaling_multigpu",
+        "scaling_multigpu",
     }
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.__main__ import main
 from repro.circuit import to_qasm
 from repro.circuit.generators import ghz
-from repro.transpile import decompose_to_basis
+
+from .circuit_helpers import decompose_to_basis
 
 
 def test_simulate_model_only(capsys):
@@ -39,6 +40,17 @@ def test_check_command_equivalent(tmp_path, capsys):
     a.write_text(to_qasm(ghz(4)))
     b.write_text(to_qasm(decompose_to_basis(ghz(4))))
     rc = main(["check", "--qasm", str(a), "--against", str(b)])
+    assert rc == 0
+    assert "EQUIVALENT" in capsys.readouterr().out
+
+
+def test_check_command_accepts_a_file_against_itself(tmp_path, capsys):
+    path = tmp_path / "c.qasm"
+    path.write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        "h q[0];\nrz(1e-5) q[0];\ncx q[0],q[1];\n"
+    )
+    rc = main(["check", "--qasm", str(path), "--against", str(path)])
     assert rc == 0
     assert "EQUIVALENT" in capsys.readouterr().out
 

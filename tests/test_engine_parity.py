@@ -237,9 +237,7 @@ HOT_FUNCTIONS = {
         "ell_gather_width1",
         "ell_gather_spmm",
         "ell_gather_slots",
-        "ell_gather_stacked",
         "dense_gate_apply",
-        "dense_gate_apply_stacked",
         "copy_into",
         "statevector_init",
         "normalize_states",

@@ -12,6 +12,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "equivalence_checking.py",
     "differential_testing.py",
+    "qnn_state_analysis.py",
 ]
 
 
@@ -34,6 +35,4 @@ def test_all_examples_exist():
         "differential_testing.py",
         "equivalence_checking.py",
         "qnn_state_analysis.py",
-        "noisy_trajectories.py",
-        "vqe_ising.py",
     } <= names

@@ -20,7 +20,8 @@ from repro.testing import (
     rewrite_gate,
     swap_operands,
 )
-from repro.transpile import circuits_equivalent
+
+from .circuit_helpers import circuits_equivalent
 
 
 @pytest.fixture

@@ -36,6 +36,8 @@ from repro.gateway.protocol import (
     ok_response,
 )
 
+from .test_qasm import MALFORMED_QASM
+
 
 def frame(**fields) -> bytes:
     return encode_frame({"v": PROTOCOL_VERSION, **fields})
@@ -159,6 +161,15 @@ class TestCircuitCodec:
             )
         assert err.value.code == "BAD_QASM"
         assert err.value.extra.get("line") == 3
+
+    @pytest.mark.parametrize(
+        "qasm", MALFORMED_QASM.values(), ids=list(MALFORMED_QASM)
+    )
+    def test_malformed_qasm_is_bad_qasm_with_line(self, qasm):
+        with pytest.raises(ProtocolError) as err:
+            circuit_from_wire({"qasm": qasm})
+        assert err.value.code == "BAD_QASM"
+        assert isinstance(err.value.extra.get("line"), int)
 
     def test_truncated_qasm(self):
         with pytest.raises(ProtocolError) as err:

@@ -165,9 +165,7 @@ def test_registry_lists_all_named_kernels():
         "ell.gather.width1",
         "ell.gather.spmm",
         "ell.gather.slots",
-        "ell.gather.stacked",
         "dense.apply",
-        "dense.apply.stacked",
         "batch.rotate.merge",
         "batch.rotate.copy",
         "state.init",
@@ -242,35 +240,6 @@ def test_gather_width1_is_a_permutation_multiply(rng):
     eng = get_engine("numpy")
     out = ops.ell_gather_width1(eng, values, cols.ravel(), states)
     np.testing.assert_array_equal(out, values * states[cols.ravel(), :])
-
-
-def test_gather_stacked_matches_per_set_loop(rng):
-    K = 4
-    values = rng.standard_normal((K, 16, 3)) + 1j * rng.standard_normal((K, 16, 3))
-    _, cols = _random_ell(rng)
-    states = rng.standard_normal((K, 16, 2)) + 1j * rng.standard_normal((K, 16, 2))
-    eng = get_engine("numpy")
-    stacked = ops.ell_gather_stacked(eng, values, cols, states)
-    for p in range(K):
-        reference = ops.ell_gather_slots(
-            eng, values[p], cols, states[p], np.zeros_like(states[p])
-        )
-        np.testing.assert_array_equal(stacked[p], reference)
-
-
-def test_gather_stacked_rejects_bad_shapes(rng):
-    values, cols = _random_ell(rng)
-    states = rng.standard_normal((16, 2)).astype(np.complex128)
-    with pytest.raises(SimulationError, match="stacked spMM"):
-        ops.ell_gather_stacked("numpy", values, cols, states)
-
-
-def test_dense_apply_stacked_rejects_set_mismatch(rng):
-    matrices = np.eye(2, dtype=np.complex128)[None].repeat(3, axis=0)
-    states = np.zeros((2, 4, 1), dtype=np.complex128)
-    idx = ops.gather_axes(2, (0,))
-    with pytest.raises(SimulationError, match="set-count mismatch"):
-        ops.dense_gate_apply_stacked("numpy", matrices, states, idx)
 
 
 def test_batch_merge_single_part_identity():

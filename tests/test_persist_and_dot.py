@@ -1,19 +1,11 @@
-"""Tests for ELL bundle persistence and DD DOT export."""
+"""Tests for ELL bundle persistence."""
 
 import numpy as np
 import pytest
 
 from repro.circuit import random_batch
-from repro.circuit.gates import Gate
 from repro.circuit.generators import make_circuit
-from repro.dd import (
-    DDManager,
-    basis_vector_dd,
-    gate_matrix_dd,
-    matrix_to_dot,
-    vector_to_dot,
-    ZERO_EDGE,
-)
+from repro.dd import DDManager
 from repro.ell import (
     EllBundle,
     bundle_from_plan,
@@ -81,23 +73,3 @@ def test_bundle_missing_array(tmp_path, bundle):
     with pytest.raises(ConversionError, match="missing"):
         load_bundle(path)
 
-
-def test_matrix_dot_export(mgr4):
-    edge = gate_matrix_dd(mgr4, Gate.make("cx", [0, 1]))
-    dot = matrix_to_dot(edge)
-    assert dot.startswith("digraph DD")
-    assert "terminal" in dot and "q3" in dot
-    assert dot.count("->") >= 4
-    # zero edges are omitted: slot labels are two bits
-    assert '"00"' in dot or "00" in dot
-
-
-def test_vector_dot_export(mgr4):
-    edge = basis_vector_dd(mgr4, 5)
-    dot = vector_to_dot(edge)
-    assert "digraph" in dot and "q0" in dot and "q3" in dot
-
-
-def test_dot_of_zero_edge():
-    dot = matrix_to_dot(ZERO_EDGE)
-    assert dot.startswith("digraph DD") and dot.endswith("}")

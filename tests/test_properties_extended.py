@@ -1,18 +1,15 @@
-"""Property-based tests for the application layers (transpile, testing,
-noise, vqa, persistence)."""
+"""Property-based tests for the mutation operators and plan persistence."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
-from repro.noise import NoiseChannel, depolarizing
 from repro.testing import PRESERVING
-from repro.transpile import circuits_equivalent, decompose_to_basis, optimize
-from repro.vqa import PauliSum
+
+from .circuit_helpers import circuits_equivalent
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -35,68 +32,12 @@ def small_circuits(draw, num_qubits=3, max_gates=10):
     return Circuit(num_qubits, gates)
 
 
-@settings(max_examples=12, deadline=None)
-@given(small_circuits())
-def test_optimize_preserves_semantics(circuit):
-    assert circuits_equivalent(circuit, optimize(circuit), num_inputs=4)
-
-
-@settings(max_examples=12, deadline=None)
-@given(small_circuits())
-def test_decompose_then_optimize_preserves_semantics(circuit):
-    basis = decompose_to_basis(circuit)
-    assert circuits_equivalent(circuit, optimize(basis), num_inputs=4)
-
-
 @settings(max_examples=10, deadline=None)
 @given(small_circuits(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_preserving_mutations_hold_on_random_circuits(circuit, seed):
     rng = np.random.default_rng(seed)
     for mutate in PRESERVING.values():
         assert circuits_equivalent(circuit, mutate(circuit, rng), num_inputs=4)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=4,
-        max_size=4,
-    ).filter(lambda probs: sum(probs) > 1e-6)
-)
-def test_random_pauli_channels_are_cptp_and_decompose(probs):
-    total = sum(probs)
-    normalized = [p / total for p in probs]
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
-              np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-    kraus = tuple(
-        np.sqrt(p) * m for p, m in zip(normalized, paulis) if p > 0
-    )
-    channel = NoiseChannel("random-pauli", kraus)
-    decomposed = channel.pauli_probabilities()
-    assert decomposed is not None
-    for label, want in zip("IXYZ", normalized):
-        assert decomposed[label] == pytest.approx(want, abs=1e-9)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    st.lists(finite, min_size=2, max_size=4),
-    st.lists(st.sampled_from(["III", "ZZI", "XIX", "YYZ", "IZI"]),
-             min_size=2, max_size=4, unique=True),
-)
-def test_pauli_sum_expectation_is_linear(coeffs, strings):
-    k = min(len(coeffs), len(strings))
-    coeffs, strings = coeffs[:k], strings[:k]
-    rng = np.random.default_rng(0)
-    state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    state = (state / np.linalg.norm(state)).reshape(-1, 1)
-    whole = PauliSum(3, tuple(strings), tuple(coeffs)).expectation(state)[0]
-    parts = sum(
-        PauliSum(3, (s,), (c,)).expectation(state)[0]
-        for s, c in zip(strings, coeffs)
-    )
-    assert whole == pytest.approx(parts, abs=1e-9)
 
 
 @settings(max_examples=10, deadline=None)

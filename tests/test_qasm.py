@@ -109,6 +109,37 @@ def test_parse_rejects_malicious_parameter():
         parse_qasm(HEADER + "rx(__import__('os')) q[0];")
 
 
+#: programs the parser once crashed on or silently accepted
+MALFORMED_QASM = {
+    "divide-by-zero": HEADER + "rz(1/0) q[0];",
+    "overflow": HEADER + "rz(9**9**9) q[0];",
+    "sqrt-domain": HEADER + "rz(sqrt(-1)) q[0];",
+    "ln-domain": HEADER + "rz(ln(0)) q[0];",
+    "gate-body-divide-by-zero": HEADER + "gate g(a) x { rz(1/a) x; }\ng(0) q[0];",
+    "infinite": HEADER + "rz(1e400) q[0];",
+    "nan": HEADER + "rz(1e400-1e400) q[0];",
+    "no-header": 'include "qelib1.inc";\nqreg q[3];\nh q[0];',
+    "version-2.1": 'OPENQASM 2.1;\ninclude "qelib1.inc";\nqreg q[3];',
+    "version-3": "OPENQASM 3;\nqreg q[3];",
+    "second-header": HEADER + "h q[0];\nOPENQASM 2.0;\nx q[1];",
+    "missing-final-semicolon": HEADER + "h q[0];\nx q[1]",
+    "full-width-index": HEADER + "h q[\uff10];",
+    "full-width-size": "OPENQASM 2.0;\nqreg q[\uff12];",
+}
+
+
+@pytest.mark.parametrize("src", MALFORMED_QASM.values(), ids=list(MALFORMED_QASM))
+def test_parse_refuses_malformed_programs(src):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(src)
+    assert err.value.line is not None
+
+
+def test_comment_after_final_statement_parses():
+    c = parse_qasm(HEADER + "h q[0]; // trailing comment")
+    assert len(c) == 1
+
+
 def test_roundtrip_preserves_semantics():
     for seed in range(3):
         c = random_circuit(4, 15, seed=seed)

@@ -53,8 +53,8 @@ def test_plan_cache_keyed_by_circuit_structure():
 
 
 def test_plan_cache_detects_in_place_mutation():
-    # the old id(circuit) keying returned stale plans after an in-place edit
-    # (as repro.sim.incremental performs); structural keying must not
+    # the old id(circuit) keying returned stale plans after an in-place
+    # edit; structural keying must not
     cache = PlanCache()
     circuit = Circuit(2, name="mut").h(0)
     assert cache.get(circuit, lambda: "before") == "before"

@@ -15,10 +15,8 @@ from repro.sim import (
     CuQuantumSimulator,
     FlatDDSimulator,
     QiskitAerSimulator,
-    cross_validate,
 )
 from repro.sim.statevector import simulate_batch
-from repro.errors import SimulationError
 
 
 @pytest.fixture
@@ -27,7 +25,8 @@ def spec():
 
 
 @pytest.mark.parametrize(
-    "simulator_cls", [CuQuantumSimulator, QiskitAerSimulator, FlatDDSimulator]
+    "simulator_cls",
+    [BQSimSimulator, CuQuantumSimulator, QiskitAerSimulator, FlatDDSimulator],
 )
 def test_baseline_outputs_match_reference(simulator_cls, spec, random_circuits):
     sim = simulator_cls()
@@ -36,31 +35,6 @@ def test_baseline_outputs_match_reference(simulator_cls, spec, random_circuits):
         result = sim.run(circuit, spec, batches=batches)
         for out, batch in zip(result.outputs, batches):
             assert np.allclose(out, simulate_batch(circuit, batch), atol=1e-8)
-
-
-def test_cross_validate_all_simulators(spec, small_circuit):
-    sims = [
-        BQSimSimulator(),
-        CuQuantumSimulator(),
-        QiskitAerSimulator(),
-        FlatDDSimulator(),
-    ]
-    deviations = cross_validate(small_circuit, spec, sims)
-    assert set(deviations) == {"bqsim", "cuquantum", "qiskit-aer", "flatdd"}
-    assert all(v < 1e-8 for v in deviations.values())
-
-
-def test_cross_validate_catches_wrong_results(spec, small_circuit):
-    class Broken(BQSimSimulator):
-        name = "broken"
-
-        def run(self, circuit, spec, batches=None, execute=True):
-            result = super().run(circuit, spec, batches=batches, execute=execute)
-            result.outputs[0] = result.outputs[0] + 0.5
-            return result
-
-    with pytest.raises(SimulationError, match="deviates"):
-        cross_validate(small_circuit, spec, [Broken()])
 
 
 def test_aer_host_model_dominates(spec):

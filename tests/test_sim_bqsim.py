@@ -162,17 +162,3 @@ def test_device_memory_guard():
     with pytest.raises(SimulationError, match="exceed device memory"):
         tiny.run(circuit, BatchSpec(2, 256), execute=False)
 
-
-def test_snapshots_capture_every_fused_gate():
-    from repro.circuit.generators import make_circuit as mk
-
-    circuit = mk("routing", 6)
-    spec = BatchSpec(2, 8, seed=1)
-    result = BQSimSimulator(snapshots=True).run(circuit, spec)
-    snaps = result.stats["snapshots"]
-    assert len(snaps) == 2
-    assert len(snaps[0]) == result.stats["fused_gates"]
-    assert np.allclose(snaps[0][-1], result.outputs[0])
-    # snapshots cost device time (extra D2H per kernel)
-    plain = BQSimSimulator().run(circuit, spec)
-    assert result.modeled_time > plain.modeled_time

@@ -5,8 +5,9 @@ import pytest
 from repro.circuit import Circuit
 from repro.circuit.generators import ghz, random_circuit
 from repro.errors import SimulationError
-from repro.transpile import decompose_to_basis
 from repro.verify import check, check_exact, check_simulative
+
+from .circuit_helpers import decompose_to_basis
 
 
 @pytest.fixture
@@ -28,6 +29,15 @@ def test_exact_rejects_tampered(pair):
     tampered = Circuit(b.num_qubits, list(b.gates))
     tampered.x(0)
     assert not check_exact(a, tampered)
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1.2e-5, 1.4e-5])
+def test_exact_accepts_a_circuit_against_itself(theta):
+    # at these angles weight snapping leaves rz(t) . rz(-t) just off
+    # the identity's weights
+    c = Circuit(2)
+    c.h(0).rz(theta, 0).cx(0, 1)
+    assert check_exact(c, c)
 
 
 def test_exact_rejects_width_mismatch():

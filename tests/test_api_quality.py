@@ -111,6 +111,13 @@ UNREACHED_BY_DESIGN = {
     "repro.testing.mutations",
 }
 
+#: unreached modules still due for retirement (ROADMAP item 4); each goes
+#: in a change of its own, together with its tests
+UNREACHED_PENDING_REMOVAL = {
+    "repro.circuit.drawing",
+    "repro.circuit.measure",
+}
+
 
 def _source_modules() -> dict[str, Path]:
     modules = {}
@@ -166,4 +173,5 @@ def test_every_module_is_reached_from_a_system_entry_point():
         for base, names in imports(module):
             todo += [defining_module(base, n) for n in names] if names else [base]
     unreached = set(modules) - packages - reached
-    assert unreached == UNREACHED_BY_DESIGN, sorted(unreached ^ UNREACHED_BY_DESIGN)
+    expected = UNREACHED_BY_DESIGN | UNREACHED_PENDING_REMOVAL
+    assert unreached == expected, sorted(unreached ^ expected)

@@ -6,9 +6,9 @@ Subcommands::
                               [--simulator bqsim|cuquantum|qiskit-aer|flatdd]
                               [--batches N] [--batch-size B] [--execute]
                               [--trace-out trace.json] [--metrics-out m.jsonl]
-    python -m repro trace     --family qft -n 10 --out trace.json
-    python -m repro trace     --serve --workers 2 --parallelism process
-                              --out service.json   # merged cross-process trace
+    python -m repro serve     --families qft,ghz -n 6 --jobs 24
+                              [--workers 2 --parallelism process]
+                              [--trace-out serve.json]  # merged cross-process trace
     python -m repro gateway   --port 7421 --shards 2 --workers 2
                               --parallelism process  # TCP front door
     python -m repro submit    --connect HOST:PORT --family ghz -n 4
@@ -21,19 +21,34 @@ Subcommands::
     python -m repro bench ... # alias of python -m repro.bench
 
 Circuits come either from a generator family (``--family``/``-n``) or an
-OpenQASM 2 file (``--qasm``).
+OpenQASM 2 file (``--qasm``).  ``serve`` and ``gateway`` take the same
+service options; ``--trace-out`` on ``simulate`` and ``serve`` writes a
+Chrome/Perfetto trace and prints what it recorded.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import re
 import sys
+from contextlib import contextmanager
 
 from .bench.runner import make_simulators
 from .circuit import load_qasm
 from .circuit.generators import FAMILIES, make_circuit
 from .dd.manager import DDManager
 from .fusion.bqcs import bqcs_fusion
+from .obs import (
+    get_metrics,
+    metrics_record,
+    prometheus_text,
+    simulation_stats_record,
+    tracing,
+    write_chrome_trace,
+    write_metrics_jsonl,
+    write_prometheus,
+)
 from .sim.base import BatchSpec
 
 
@@ -52,83 +67,179 @@ def _add_circuit_args(parser) -> None:
     parser.add_argument("--qasm", default=None, help="load an OpenQASM 2 file")
 
 
-def _run_simulation(args):
-    """Run one simulation; trace it when the args ask for an export."""
-    from .obs import get_metrics, tracing
-    from .obs.export import (
-        metrics_record,
-        write_chrome_trace,
-        write_metrics_jsonl,
-    )
+def _families(text: str) -> list[str]:
+    """``--families``: comma-separated names, each one of ``FAMILIES``."""
+    families = [f.strip() for f in text.split(",") if f.strip()]
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown or not families:
+        raise argparse.ArgumentTypeError(
+            f"unknown circuit family in {text!r} "
+            f"(known: {', '.join(sorted(FAMILIES))})"
+        )
+    return families
 
+
+def _add_service_args(parser, max_depth: int) -> None:
+    """The service options ``serve`` and ``gateway`` share."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="workers per service (per shard for gateway)")
+    parser.add_argument("--parallelism", default="none",
+                        choices=["none", "process"],
+                        help="'process' executes mega-batches concurrently on "
+                             "--workers OS processes sharing one plan cache")
+    parser.add_argument("--max-depth", type=int, default=max_depth,
+                        help="admission queue depth bound per service "
+                             f"(backpressure; default: {max_depth})")
+    parser.add_argument("--engine", default=None,
+                        choices=["numpy", "fake-gpu", "cupy"],
+                        help="array backend for every worker simulator")
+    parser.add_argument("--faults", default=None, metavar="PLAN",
+                        help="fault-injection plan for every worker simulator")
+    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help="default per-job execution deadline in seconds "
+                             "(process mode: hung workers are killed)")
+    parser.add_argument("--max-deliveries", type=int, default=None,
+                        metavar="N",
+                        help="deliveries before a crash-looping job is "
+                             "quarantined (default: 3)")
+    parser.add_argument("--max-restarts", type=int, default=None, metavar="N",
+                        help="pool-wide worker restart budget (default: 8)")
+    parser.add_argument("--chaos", default=None, metavar="SPEC",
+                        help="chaos schedule for every worker pool, e.g. "
+                             "'kill=2,hang@after=5' (kill/hang pool task N; "
+                             "'@after' fires after the simulator ran)")
+    parser.add_argument("--lifecycle-out", default=None, metavar="PATH",
+                        help="write per-job lifecycle events as JSONL")
+    parser.add_argument("--prom-out", default=None, metavar="PATH",
+                        help="write the metrics registry in Prometheus "
+                             "exposition text format")
+    parser.add_argument("--stats-json", default=None, metavar="PATH",
+                        help="write the service summary stats as JSON")
+
+
+def _simulator_kwargs(args) -> dict:
+    """The worker simulators' options: those of these flags that are set."""
+    names = ("health", "max_splits", "faults", "engine")
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name, None) is not None
+    }
+
+
+def _service_kwargs(args) -> dict:
+    """``BatchSimulationService`` arguments (``ShardRouter`` takes them too)."""
+    kwargs = {
+        "num_workers": args.workers,
+        "max_depth": args.max_depth,
+        "parallelism": args.parallelism,
+        "simulator_kwargs": _simulator_kwargs(args),
+    }
+    if args.max_deliveries is not None:
+        kwargs["max_deliveries"] = args.max_deliveries
+    if args.max_restarts is not None:
+        kwargs["max_restarts"] = args.max_restarts
+    if args.timeout is not None:
+        kwargs["default_timeout_s"] = args.timeout
+    if args.chaos is not None:
+        from .testing.chaos_pool import ChaosSchedule
+
+        kwargs["chaos"] = ChaosSchedule.parse(args.chaos)
+    return kwargs
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_reports(args, stats, source=None) -> None:
+    """Write the report files a command was given, and say so.
+
+    ``source`` is the service or shard router whose lifecycle log (and,
+    for ``serve``, queue metrics) the files take.
+    """
+    if source is not None and args.lifecycle_out:
+        count = source.write_lifecycle(args.lifecycle_out)
+        print(f"lifecycle : wrote {count} events to {args.lifecycle_out}")
+    if args.prom_out:
+        write_prometheus(args.prom_out, get_metrics().snapshot())
+        print(f"prom      : wrote {args.prom_out}")
+    if getattr(args, "queue_metrics", None):
+        count = source.write_queue_metrics(args.queue_metrics)
+        print(f"metrics   : wrote {count} queue events to {args.queue_metrics}")
+    if args.stats_json:
+        _write_json(args.stats_json, stats)
+        print(f"stats     : wrote {args.stats_json}")
+
+
+@contextmanager
+def _recording(enabled):
+    """Yield a list that receives the block's spans when ``enabled``."""
+    spans = []
+    if not enabled:
+        yield spans
+        return
+    with tracing() as tracer:
+        mark = tracer.mark()
+        yield spans
+        spans.extend(tracer.spans_since(mark))
+
+
+def _run_simulation(args):
+    """Run one simulation and write the files its flags ask for."""
     circuit = _circuit_from_args(args)
     bqsim_kwargs = {}
-    engine = getattr(args, "engine", None)
-    faults = getattr(args, "faults", None)
-    health = getattr(args, "health", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    resume = getattr(args, "resume", None)
-    if health is not None:
-        bqsim_kwargs["health"] = health
-    if checkpoint_dir is not None:
-        bqsim_kwargs["checkpoint_dir"] = checkpoint_dir
-    max_splits = getattr(args, "max_splits", None)
-    if max_splits is not None:
-        bqsim_kwargs["max_splits"] = max_splits
-    fidelity = getattr(args, "fidelity", 1.0)
-    if fidelity != 1.0:
+    if args.health is not None:
+        bqsim_kwargs["health"] = args.health
+    if args.checkpoint_dir is not None:
+        bqsim_kwargs["checkpoint_dir"] = args.checkpoint_dir
+    if args.max_splits is not None:
+        bqsim_kwargs["max_splits"] = args.max_splits
+    if args.fidelity != 1.0:
         if args.simulator != "bqsim":
             raise SystemExit(
                 "--fidelity below 1.0 is only supported with "
                 "--simulator bqsim"
             )
-        bqsim_kwargs["fidelity"] = fidelity
-    simulators = make_simulators(engine=engine, **bqsim_kwargs)
-    simulator = simulators[args.simulator]
-    if faults is not None:
+        bqsim_kwargs["fidelity"] = args.fidelity
+    simulator = make_simulators(engine=args.engine, **bqsim_kwargs)[
+        args.simulator
+    ]
+    if args.faults is not None:
         # scope the plan to the chosen simulator's runs
-        simulator.faults = faults
-    if health is not None and args.simulator != "bqsim":
+        simulator.faults = args.faults
+    if args.health is not None and args.simulator != "bqsim":
         from .resilience import HealthPolicy
 
-        simulator.health = HealthPolicy.coerce(health)
+        simulator.health = HealthPolicy.coerce(args.health)
     run_kwargs = {}
-    if resume is not None:
+    if args.resume is not None:
         if args.simulator != "bqsim":
             raise SystemExit("--resume is only supported with --simulator bqsim")
-        run_kwargs["resume"] = resume
+        run_kwargs["resume"] = args.resume
     spec = BatchSpec(num_batches=args.batches, batch_size=args.batch_size,
                      seed=args.seed)
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    if trace_out:
-        with tracing() as tracer:
-            mark = tracer.mark()
-            result = simulator.run(circuit, spec, execute=args.execute,
-                                   **run_kwargs)
-            spans = tracer.spans_since(mark)
+    with _recording(args.trace_out) as spans:
+        result = simulator.run(circuit, spec, execute=args.execute,
+                               **run_kwargs)
+    if args.trace_out:
         write_chrome_trace(
-            trace_out, spans, timeline=result.timeline,
+            args.trace_out, spans, timeline=result.timeline,
             metadata={
                 "circuit": circuit.name,
                 "simulator": result.simulator,
                 "engine": result.stats.get("engine", "numpy"),
             },
         )
-    else:
-        result = simulator.run(circuit, spec, execute=args.execute,
-                               **run_kwargs)
-        spans = []
-    resilience_out = getattr(args, "resilience_out", None)
-    if resilience_out:
-        import json
-
+    if args.resilience_out:
         events = result.stats.get("resilience", {}).get("events", [])
-        with open(resilience_out, "w", encoding="utf-8") as fh:
+        with open(args.resilience_out, "w", encoding="utf-8") as fh:
             for event in events:
                 fh.write(json.dumps(event) + "\n")
-    if metrics_out:
-        write_metrics_jsonl(metrics_out, [
+    if args.metrics_out:
+        write_metrics_jsonl(args.metrics_out, [
             metrics_record(
                 f"{result.simulator}:{circuit.name}",
                 result.stats.get("metrics", get_metrics().snapshot()),
@@ -138,20 +249,13 @@ def _run_simulation(args):
                 wall_time_s=result.wall_time,
             )
         ])
-    stats_json = getattr(args, "stats_json", None)
-    if stats_json:
-        import json
-
-        from .obs.export import simulation_stats_record
-
-        with open(stats_json, "w", encoding="utf-8") as fh:
-            json.dump(simulation_stats_record(result), fh, indent=2)
-            fh.write("\n")
+    if args.stats_json:
+        _write_json(args.stats_json, simulation_stats_record(result))
     return circuit, spec, result, spans
 
 
 def cmd_simulate(args) -> int:
-    circuit, spec, result, _ = _run_simulation(args)
+    circuit, spec, result, spans = _run_simulation(args)
     print(f"circuit   : {circuit.name} ({circuit.num_qubits} qubits, "
           f"{len(circuit)} gates)")
     print(f"workload  : {spec.num_batches} batches x {spec.batch_size} inputs")
@@ -180,65 +284,52 @@ def cmd_simulate(args) -> int:
         print(f"resilience: {parts} "
               f"(backend {resilience.get('backend', '?')}, "
               f"batch split x{resilience.get('batch_split', 1)})")
-    if getattr(args, "resilience_out", None):
+    if args.resilience_out:
         print(f"resilience: wrote {args.resilience_out}")
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
+        stages = [s for s in spans if s.attrs.get("category") == "stage"]
+        print(f"spans     : {len(spans)} recorded "
+              f"({len(stages)} pipeline stages)")
+        for span in stages:
+            print(f"  {span.name:<10s} {span.duration * 1e3:9.3f} ms")
+        if result.timeline is not None:
+            print(f"timeline  : {len(result.timeline.tasks)} modeled GPU "
+                  f"tasks, makespan {result.timeline.makespan * 1e3:.3f} ms")
         print(f"trace     : wrote {args.trace_out} "
               f"(open in https://ui.perfetto.dev)")
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         print(f"metrics   : wrote {args.metrics_out}")
-    if getattr(args, "stats_json", None):
+    if args.stats_json:
         print(f"stats     : wrote {args.stats_json}")
     return 0
 
 
 def cmd_serve(args) -> int:
-    """Run the scripted saturation workload against an in-process service."""
+    """Run the scripted saturation workload against an in-process service.
+
+    With ``--trace-out`` tracing starts before the service is built, so in
+    process mode every worker's spans come back on its own
+    ``pool-worker-N`` track, and the service and pool spans carry job-id
+    attributes: one job correlates across processes in one timeline.
+    """
     from .service import BatchSimulationService, saturation_workload
 
-    simulator_kwargs = {}
-    if args.health is not None:
-        simulator_kwargs["health"] = args.health
-    if args.max_splits is not None:
-        simulator_kwargs["max_splits"] = args.max_splits
-    if args.faults is not None:
-        simulator_kwargs["faults"] = args.faults
-    if args.engine is not None:
-        simulator_kwargs["engine"] = args.engine
-    service_kwargs = {}
-    if args.max_deliveries is not None:
-        service_kwargs["max_deliveries"] = args.max_deliveries
-    if args.max_restarts is not None:
-        service_kwargs["max_restarts"] = args.max_restarts
-    if args.timeout is not None:
-        service_kwargs["default_timeout_s"] = args.timeout
-    if args.chaos is not None:
-        from .testing.chaos_pool import ChaosSchedule
-
-        service_kwargs["chaos"] = ChaosSchedule.parse(args.chaos)
-    service = BatchSimulationService(
-        num_workers=args.workers,
-        max_depth=args.max_depth,
-        simulator_kwargs=simulator_kwargs,
-        parallelism=args.parallelism,
-        **service_kwargs,
+    with _recording(args.trace_out) as spans:
+        service = BatchSimulationService(**_service_kwargs(args))
+        try:
+            stats = saturation_workload(
+                service,
+                args.families,
+                num_qubits=args.num_qubits,
+                num_jobs=args.jobs,
+                seed=args.seed,
+            )
+        finally:
+            service.close(drain=args.drain)
+    # close() may cancel stragglers: re-snapshot the final accounting
+    stats.update(
+        {k: v for k, v in service.stats().items() if k != "workload"}
     )
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    try:
-        stats = saturation_workload(
-            service,
-            families,
-            num_qubits=args.num_qubits,
-            num_jobs=args.jobs,
-            seed=args.seed,
-            max_inputs=args.max_inputs,
-        )
-    finally:
-        service.close(drain=args.drain)
-        # close() may cancel stragglers: re-snapshot the final accounting
-        stats.update(
-            {k: v for k, v in service.stats().items() if k != "workload"}
-        )
     workload = stats["workload"]
     print(f"workload  : {workload['jobs_submitted']} jobs "
           f"({workload['jobs_shed']} shed) over {','.join(workload['families'])} "
@@ -273,25 +364,26 @@ def cmd_serve(args) -> int:
           f"deadline misses {slo.get('deadline_misses', 0)}"
           f"/{slo.get('deadline_jobs', 0)}, "
           f"{slo.get('unaccounted_jobs', 0)} unaccounted")
-    if args.lifecycle_out:
-        count = service.write_lifecycle(args.lifecycle_out)
-        print(f"lifecycle : wrote {count} events to {args.lifecycle_out}")
-    if args.prom_out:
-        from .obs import get_metrics
-        from .obs.prom import write_prometheus
-
-        write_prometheus(args.prom_out, get_metrics().snapshot())
-        print(f"prom      : wrote {args.prom_out}")
-    if args.queue_metrics:
-        count = service.write_queue_metrics(args.queue_metrics)
-        print(f"metrics   : wrote {count} queue events to {args.queue_metrics}")
-    if args.stats_json:
-        import json
-
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"stats     : wrote {args.stats_json}")
+    if args.trace_out:
+        write_chrome_trace(
+            args.trace_out,
+            spans,
+            metadata={
+                "mode": "service",
+                "parallelism": args.parallelism,
+                "workers": args.workers,
+            },
+        )
+        threads = sorted({s.thread for s in spans})
+        job_spans = [
+            s for s in spans if "job_ids" in s.attrs or "job" in s.attrs
+        ]
+        print(f"spans     : {len(spans)} recorded on {len(threads)} "
+              f"track(s): {', '.join(threads)}")
+        print(f"job spans : {len(job_spans)} carry job-id attributes")
+        print(f"trace     : wrote {args.trace_out} "
+              f"(open in https://ui.perfetto.dev)")
+    _write_reports(args, stats, service)
     return 1 if workload["jobs_failed"] and args.strict else 0
 
 
@@ -302,31 +394,10 @@ def cmd_gateway(args) -> int:
 
     from .gateway import GatewayServer, ShardRouter, TenantQuotas
 
-    simulator_kwargs = {}
-    if args.engine is not None:
-        simulator_kwargs["engine"] = args.engine
-    if args.faults is not None:
-        simulator_kwargs["faults"] = args.faults
-    service_kwargs = {
-        "num_workers": args.workers,
-        "max_depth": args.max_depth,
-        "parallelism": args.parallelism,
-        "simulator_kwargs": simulator_kwargs,
-    }
-    if args.max_deliveries is not None:
-        service_kwargs["max_deliveries"] = args.max_deliveries
-    if args.max_restarts is not None:
-        service_kwargs["max_restarts"] = args.max_restarts
-    if args.timeout is not None:
-        service_kwargs["default_timeout_s"] = args.timeout
-    if args.chaos is not None:
-        from .testing.chaos_pool import ChaosSchedule
-
-        service_kwargs["chaos"] = ChaosSchedule.parse(args.chaos)
     tenants = {}
     for spec in args.tenant_weight or []:
         name, _, weight = spec.partition("=")
-        if not name or not weight.lstrip("-").isdigit():
+        if not name or not re.fullmatch(r"-?[0-9]+", weight):
             raise SystemExit(
                 f"--tenant-weight expects NAME=WEIGHT, got {spec!r}"
             )
@@ -342,7 +413,7 @@ def cmd_gateway(args) -> int:
         num_shards=args.shards,
         routing=args.routing,
         quotas=quotas,
-        service_kwargs=service_kwargs,
+        service_kwargs=_service_kwargs(args),
     )
     server = GatewayServer(router, host=args.host, port=args.port)
 
@@ -374,29 +445,17 @@ def cmd_gateway(args) -> int:
     print(f"routing   : {stats['routed']} "
           f"({stats['failovers']} failover(s), "
           f"{stats['rescued']} job(s) rescued)")
-    if args.lifecycle_out:
-        count = router.write_lifecycle(args.lifecycle_out)
-        print(f"lifecycle : wrote {count} events to {args.lifecycle_out}")
-    if args.prom_out:
-        from .obs import get_metrics
-        from .obs.prom import write_prometheus
-
-        write_prometheus(args.prom_out, get_metrics().snapshot())
-        print(f"prom      : wrote {args.prom_out}")
-    if args.stats_json:
-        import json
-
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"stats     : wrote {args.stats_json}")
+    _write_reports(args, stats, router)
     return 1 if unaccounted else 0
 
 
 def _parse_connect(connect: str) -> tuple[str, int]:
     host, _, port = connect.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--connect expects HOST:PORT, got {connect!r}")
+    if not host or not re.fullmatch(r"[0-9]+", port) or int(port) > 65535:
+        raise SystemExit(
+            f"--connect expects HOST:PORT with a port in 0-65535, "
+            f"got {connect!r}"
+        )
     return host, int(port)
 
 
@@ -451,20 +510,16 @@ def _submit_remote(args) -> int:
 
 def cmd_submit(args) -> int:
     """Submit one job to a fresh in-process service and wait for it."""
+    from .obs.export import service_job_stats_record
     from .service import ServiceClient
 
     if args.connect:
         return _submit_remote(args)
     circuit = _circuit_from_args(args)
-    simulator_kwargs = {}
-    if args.faults is not None:
-        simulator_kwargs["faults"] = args.faults
-    if args.engine is not None:
-        simulator_kwargs["engine"] = args.engine
     client = ServiceClient(
         num_workers=args.workers,
         parallelism=args.parallelism,
-        simulator_kwargs=simulator_kwargs,
+        simulator_kwargs=_simulator_kwargs(args),
     )
     try:
         job_id = client.submit(
@@ -486,103 +541,25 @@ def cmd_submit(args) -> int:
                   f"achieved {achieved_s}")
         print(f"result    : {amplitudes.shape[1]} output state(s), "
               f"first column norm {norm:.6f}")
-        if args.stats_json:
-            import json
-
-            from .obs.export import service_job_stats_record
-
-            record = service_job_stats_record(job, client.service)
-            with open(args.stats_json, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
-            print(f"stats     : wrote {args.stats_json}")
-        if args.prom_out:
-            from .obs import get_metrics
-            from .obs.prom import write_prometheus
-
-            write_prometheus(args.prom_out, get_metrics().snapshot())
-            print(f"prom      : wrote {args.prom_out}")
+        _write_reports(
+            args,
+            service_job_stats_record(job, client.service)
+            if args.stats_json else None,
+        )
     finally:
         client.close()
     return 0
 
 
-def _trace_serve(args) -> int:
-    """Trace a coalesced service workload into one merged Perfetto file.
-
-    Runs the scripted saturation workload under tracing; in process mode
-    every worker's spans are absorbed back into the parent tracer on
-    their own ``pool-worker-N`` tracks, and the service/pool spans carry
-    job-id attributes, so one job's lifecycle correlates across scheduler
-    and worker processes in a single timeline.
-    """
-    from .obs import tracing
-    from .obs.export import write_chrome_trace
-    from .service import BatchSimulationService, saturation_workload
-
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    with tracing() as tracer:
-        mark = tracer.mark()
-        service = BatchSimulationService(
-            num_workers=args.workers, parallelism=args.parallelism
-        )
-        try:
-            stats = saturation_workload(
-                service,
-                families,
-                num_qubits=args.num_qubits,
-                num_jobs=args.jobs,
-                seed=args.seed,
-            )
-        finally:
-            service.close()
-        spans = tracer.spans_since(mark)
-    job_spans = [
-        s for s in spans if "job_ids" in s.attrs or "job" in s.attrs
-    ]
-    write_chrome_trace(
-        args.out,
-        spans,
-        metadata={
-            "mode": "service",
-            "parallelism": args.parallelism,
-            "workers": args.workers,
-        },
-    )
-    threads = sorted({s.thread for s in spans})
-    workload = stats["workload"]
-    print(f"workload  : {workload['jobs_submitted']} jobs, "
-          f"{stats['megabatches']} mega-batches, "
-          f"parallelism={args.parallelism}, {args.workers} worker(s)")
-    print(f"spans     : {len(spans)} recorded on {len(threads)} track(s): "
-          f"{', '.join(threads)}")
-    print(f"job spans : {len(job_spans)} carry job-id attributes")
-    print(f"trace     : wrote {args.out} (open in https://ui.perfetto.dev)")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Run a circuit with tracing on and write a Chrome/Perfetto trace."""
-    if args.serve:
-        return _trace_serve(args)
-    args.trace_out = args.out
-    circuit, spec, result, spans = _run_simulation(args)
-    stages = [s for s in spans if s.attrs.get("category") == "stage"]
-    print(f"circuit   : {circuit.name} ({circuit.num_qubits} qubits, "
-          f"{len(circuit)} gates)")
-    print(f"simulator : {result.simulator} "
-          f"({spec.num_batches} batches x {spec.batch_size} inputs)")
-    print(f"spans     : {len(spans)} recorded "
-          f"({len(stages)} pipeline stages)")
-    for span in stages:
-        print(f"  {span.name:<10s} {span.duration * 1e3:9.3f} ms")
-    if result.timeline is not None:
-        print(f"timeline  : {len(result.timeline.tasks)} modeled GPU tasks, "
-              f"makespan {result.timeline.makespan * 1e3:.3f} ms")
-    print(f"trace     : wrote {args.out} (open in https://ui.perfetto.dev)")
-    if getattr(args, "metrics_out", None):
-        print(f"metrics   : wrote {args.metrics_out}")
-    return 0
+def _read_input(path: str) -> str:
+    """The text of ``path`` (``-`` reads stdin), or a one-line refusal."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
 def cmd_metrics(args) -> int:
@@ -594,23 +571,26 @@ def cmd_metrics(args) -> int:
     ends: ``--in -`` reads the JSONL from stdin, ``--out -`` writes the
     Prometheus text to stdout, so the command pipes.
     """
-    import json
-
-    from .obs import get_metrics
-    from .obs.prom import prometheus_text
-
     if args.input:
         snapshots = []
-        if args.input == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            with open(args.input, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        for line in lines:
-            line = line.strip()
-            if line:
+        lines = _read_input(args.input).splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                snapshots.append(record.get("metrics", record))
+            except json.JSONDecodeError as exc:
+                raise SystemExit(
+                    f"{args.input}:{lineno}: not JSON ({exc.msg})"
+                ) from None
+            if isinstance(record, dict):
+                record = record.get("metrics", record)
+            if not isinstance(record, dict):
+                raise SystemExit(
+                    f"{args.input}:{lineno}: not a metrics record "
+                    f"(expected a JSON object)"
+                )
+            snapshots.append(record)
         if not snapshots:
             raise SystemExit(f"no metrics records in {args.input}")
         try:
@@ -622,7 +602,7 @@ def cmd_metrics(args) -> int:
             ) from None
     else:
         snapshot = get_metrics().snapshot()
-    text = prometheus_text(snapshot, prefix=args.prefix)
+    text = prometheus_text(snapshot)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -647,8 +627,6 @@ def cmd_status(args) -> int:
     reads the JSON from stdin; ``--connect HOST:PORT`` fetches the
     merged fleet stats from a running gateway instead of a file.
     """
-    import json
-
     if args.connect:
         from .gateway import GatewayClient
 
@@ -659,39 +637,45 @@ def cmd_status(args) -> int:
         finally:
             client.close()
         source = args.connect
-    elif args.stats == "-":
-        doc = json.load(sys.stdin)
-        source = "stdin"
     elif args.stats:
-        with open(args.stats, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        source = args.stats
+        source = "stdin" if args.stats == "-" else args.stats
+        try:
+            doc = json.loads(_read_input(args.stats))
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"{source}: not JSON ({exc})") from None
     else:
         raise SystemExit("need --stats PATH (or '-') or --connect HOST:PORT")
-    slo = doc.get("slo") or doc.get("stats", {}).get("slo")
-    if slo is None:
+    slo = None
+    if isinstance(doc, dict):
+        slo = doc.get("slo") or (doc.get("stats") or {}).get("slo")
+    if not isinstance(slo, dict):
         raise SystemExit(f"{source} has no 'slo' block")
-    if "shards" in doc:
-        dead = doc.get("dead_shards", [])
-        print(f"fleet     : {len(doc['shards'])} shard(s)"
-              + (f" ({len(dead)} dead: {','.join(dead)})" if dead else "")
-              + f", routing={doc.get('routing', '?')}, "
-              f"routed {doc.get('routed', {})}, "
-              f"queue depth {doc.get('queue_depth', 0)}")
-    print(f"jobs      : {slo['submitted']} submitted, {slo['done']} done, "
-          f"{slo['failed']} failed, {slo['rejected']} rejected, "
-          f"{slo['cancelled']} cancelled"
-          + (f", {slo['unaccounted_jobs']} unaccounted"
-             if "unaccounted_jobs" in slo else ""))
-    print(f"latency ms: {_fmt_quantiles(slo['latency_s'])}")
-    print(f"queue   ms: {_fmt_quantiles(slo['queue_age_s'])}")
-    print(f"deadlines : {slo['deadline_misses']}/{slo['deadline_jobs']} "
-          f"missed (rate {slo['deadline_miss_rate']:.3f})")
-    print(f"degraded  : {slo['solo_retries']} solo retries "
-          f"(rate {slo['degraded_rate']:.3f})")
-    for priority, cls in sorted(slo.get("priorities", {}).items()):
-        print(f"  priority {priority}: {cls['jobs']} job(s), "
-              f"latency ms {_fmt_quantiles(cls['latency_s'])}")
+    try:
+        if "shards" in doc:
+            dead = doc.get("dead_shards", [])
+            print(f"fleet     : {len(doc['shards'])} shard(s)"
+                  + (f" ({len(dead)} dead: {','.join(dead)})" if dead else "")
+                  + f", routing={doc.get('routing', '?')}, "
+                  f"routed {doc.get('routed', {})}, "
+                  f"queue depth {doc.get('queue_depth', 0)}")
+        print(f"jobs      : {slo['submitted']} submitted, {slo['done']} done, "
+              f"{slo['failed']} failed, {slo['rejected']} rejected, "
+              f"{slo['cancelled']} cancelled"
+              + (f", {slo['unaccounted_jobs']} unaccounted"
+                 if "unaccounted_jobs" in slo else ""))
+        print(f"latency ms: {_fmt_quantiles(slo['latency_s'])}")
+        print(f"queue   ms: {_fmt_quantiles(slo['queue_age_s'])}")
+        print(f"deadlines : {slo['deadline_misses']}/{slo['deadline_jobs']} "
+              f"missed (rate {slo['deadline_miss_rate']:.3f})")
+        print(f"degraded  : {slo['solo_retries']} solo retries "
+              f"(rate {slo['degraded_rate']:.3f})")
+        for priority, cls in sorted(slo.get("priorities", {}).items()):
+            print(f"  priority {priority}: {cls['jobs']} job(s), "
+                  f"latency ms {_fmt_quantiles(cls['latency_s'])}")
+    except KeyError as exc:
+        raise SystemExit(
+            f"{source}: 'slo' block has no {exc.args[0]!r} entry"
+        ) from None
     return 0
 
 
@@ -712,9 +696,7 @@ def cmd_fuse(args) -> int:
 def cmd_check(args) -> int:
     from .verify import check
 
-    a = load_qasm(args.qasm)
-    b = load_qasm(args.against)
-    result = check(a, b, prefer=args.method)
+    result = check(load_qasm(args.qasm), load_qasm(args.against))
     verdict = "EQUIVALENT" if result else "NOT equivalent"
     print(f"{verdict} (method: {result.method}"
           + (f", max deviation {result.max_deviation:.2e}"
@@ -723,60 +705,47 @@ def cmd_check(args) -> int:
     return 0 if result else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        from .bench.__main__ import main as bench_main
-
-        sys.argv = [sys.argv[0]] + argv[1:]
-        bench_main()
-        return 0
-
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (every subcommand but ``bench``)."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_sim_args(parser) -> None:
-        parser.add_argument("--simulator", default="bqsim",
-                            choices=["bqsim", "cuquantum", "qiskit-aer",
-                                     "flatdd"])
-        parser.add_argument("--batches", type=int, default=10)
-        parser.add_argument("--batch-size", type=int, default=32)
-        parser.add_argument("--execute", action="store_true",
-                            help="compute real amplitudes (default: model-only)")
-        parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                            help="write a JSONL metrics snapshot to PATH")
-        parser.add_argument("--faults", default=None, metavar="PLAN",
-                            help="fault-injection plan, e.g. "
-                                 "'seed=7,kernel=0.05,oom=1:1'")
-        parser.add_argument("--health", default=None,
-                            choices=["off", "warn", "renormalize", "fail"],
-                            help="per-batch numerical health policy")
-        parser.add_argument("--engine", default=None,
-                            choices=["numpy", "fake-gpu", "cupy"],
-                            help="array backend for the numeric kernels "
-                                 "(default: REPRO_ENGINE or numpy)")
-        parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                            help="write batch-boundary checkpoints "
-                                 "(bqsim only)")
-        parser.add_argument("--resume", default=None, metavar="CKPT",
-                            help="resume a bqsim run from a checkpoint "
-                                 "archive")
-        parser.add_argument("--fidelity", type=float, default=1.0,
-                            metavar="F",
-                            help="end-to-end fidelity budget in (0, 1]; "
-                                 "below 1.0 enables budgeted DD pruning "
-                                 "(bqsim only, see docs/approximation.md)")
-        parser.add_argument("--max-splits", type=int, default=None,
-                            help="allow up to 2^N-way batch splitting on OOM "
-                                 "(bqsim only)")
-        parser.add_argument("--resilience-out", default=None, metavar="PATH",
-                            help="write the run's resilience events as JSONL")
-
     p = sub.add_parser("simulate", help="run a batch simulation")
     _add_circuit_args(p)
-    _add_sim_args(p)
+    p.add_argument("--simulator", default="bqsim",
+                   choices=["bqsim", "cuquantum", "qiskit-aer", "flatdd"])
+    p.add_argument("--batches", type=int, default=10)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--execute", action="store_true",
+                   help="compute real amplitudes (default: model-only)")
+    p.add_argument("--metrics-out", default=None, metavar="PATH",
+                   help="write a JSONL metrics snapshot to PATH")
+    p.add_argument("--faults", default=None, metavar="PLAN",
+                   help="fault-injection plan, e.g. "
+                        "'seed=7,kernel=0.05,oom=1:1'")
+    p.add_argument("--health", default=None,
+                   choices=["off", "warn", "renormalize", "fail"],
+                   help="per-batch numerical health policy")
+    p.add_argument("--engine", default=None,
+                   choices=["numpy", "fake-gpu", "cupy"],
+                   help="array backend for the numeric kernels "
+                        "(default: REPRO_ENGINE or numpy)")
+    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                   help="write batch-boundary checkpoints (bqsim only)")
+    p.add_argument("--resume", default=None, metavar="CKPT",
+                   help="resume a bqsim run from a checkpoint archive")
+    p.add_argument("--fidelity", type=float, default=1.0, metavar="F",
+                   help="end-to-end fidelity budget in (0, 1]; below 1.0 "
+                        "enables budgeted DD pruning (bqsim only, see "
+                        "docs/approximation.md)")
+    p.add_argument("--max-splits", type=int, default=None,
+                   help="allow up to 2^N-way batch splitting on OOM "
+                        "(bqsim only)")
+    p.add_argument("--resilience-out", default=None, metavar="PATH",
+                   help="write the run's resilience events as JSONL")
     p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="record spans and write a Chrome/Perfetto trace")
+                   help="record spans, write a Chrome/Perfetto trace and "
+                        "print the pipeline stages")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="write the run's stats (incl. plan_cache and "
                         "resilience summaries) as a JSON document")
@@ -786,53 +755,24 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="run a scripted saturation workload against the batch service",
     )
-    p.add_argument("--families", default="qft,ghz,vqe",
+    p.add_argument("--families", type=_families, default="qft,ghz,vqe",
                    help="comma-separated circuit families to mix")
     p.add_argument("-n", "--num-qubits", type=int, default=6)
     p.add_argument("--jobs", type=int, default=24,
                    help="jobs to submit (mixed priorities and sizes)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--parallelism", default="none",
-                   choices=["none", "process"],
-                   help="'process' executes mega-batches concurrently on "
-                        "--workers OS processes sharing one plan cache")
-    p.add_argument("--max-depth", type=int, default=16,
-                   help="admission queue depth bound (backpressure)")
-    p.add_argument("--max-inputs", type=int, default=16,
-                   help="largest per-job input batch in the workload")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", default=None, metavar="PLAN",
-                   help="fault-injection plan for every worker simulator")
+    _add_service_args(p, max_depth=16)
     p.add_argument("--health", default=None,
                    choices=["off", "warn", "renormalize", "fail"])
     p.add_argument("--max-splits", type=int, default=None)
-    p.add_argument("--engine", default=None,
-                   choices=["numpy", "fake-gpu", "cupy"],
-                   help="array backend for every worker simulator")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="default per-job execution deadline in seconds "
-                        "(process mode: hung workers are killed)")
-    p.add_argument("--max-deliveries", type=int, default=None, metavar="N",
-                   help="deliveries before a crash-looping job is "
-                        "quarantined (default: 3)")
-    p.add_argument("--max-restarts", type=int, default=None, metavar="N",
-                   help="pool-wide worker restart budget (default: 8)")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="chaos schedule for the worker pool, e.g. "
-                        "'kill=2,hang@after=5' (kill/hang pool task N; "
-                        "'@after' fires after the simulator ran)")
     p.add_argument("--drain", action="store_true",
                    help="graceful close: finish in-flight work instead of "
                         "cancelling it")
     p.add_argument("--queue-metrics", default=None, metavar="PATH",
                    help="write per-round queue metrics as JSONL")
-    p.add_argument("--stats-json", default=None, metavar="PATH",
-                   help="write the service summary stats as JSON")
-    p.add_argument("--lifecycle-out", default=None, metavar="PATH",
-                   help="write per-job lifecycle events as JSONL")
-    p.add_argument("--prom-out", default=None, metavar="PATH",
-                   help="write the metrics registry in Prometheus "
-                        "exposition text format")
+    p.add_argument("--trace-out", default=None, metavar="PATH",
+                   help="record spans of every process into one "
+                        "Chrome/Perfetto trace")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero if any job failed")
     p.set_defaults(fn=cmd_serve)
@@ -855,32 +795,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="'affinity' hashes plan fingerprints onto the "
                         "consistent-hash ring; 'random' scatters "
                         "round-robin (cache-oblivious baseline)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="workers per shard")
-    p.add_argument("--parallelism", default="none",
-                   choices=["none", "process"])
-    p.add_argument("--max-depth", type=int, default=256,
-                   help="per-shard admission queue bound")
     p.add_argument("--quota-rate", type=float, default=0.0, metavar="N",
                    help="per-tenant admission rate in jobs/s "
                         "(0 = quotas off)")
     p.add_argument("--quota-burst", type=float, default=20.0, metavar="N")
     p.add_argument("--tenant-weight", action="append", metavar="NAME=W",
                    help="priority boost for a tenant (repeatable)")
-    p.add_argument("--engine", default=None,
-                   choices=["numpy", "fake-gpu", "cupy"])
-    p.add_argument("--faults", default=None, metavar="PLAN")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="default per-job execution deadline")
-    p.add_argument("--max-deliveries", type=int, default=None, metavar="N")
-    p.add_argument("--max-restarts", type=int, default=None, metavar="N")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="chaos schedule for every shard's pool")
-    p.add_argument("--lifecycle-out", default=None, metavar="PATH",
-                   help="write the merged per-shard lifecycle stream "
-                        "as JSONL on exit")
-    p.add_argument("--prom-out", default=None, metavar="PATH")
-    p.add_argument("--stats-json", default=None, metavar="PATH")
+    _add_service_args(p, max_depth=256)
     p.set_defaults(fn=cmd_gateway)
 
     p = sub.add_parser(
@@ -920,28 +841,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser(
-        "trace", help="run a simulation with tracing on and export the trace"
-    )
-    _add_circuit_args(p)
-    _add_sim_args(p)
-    p.add_argument("--out", default="trace.json", metavar="PATH",
-                   help="trace file to write (default: trace.json)")
-    p.add_argument("--serve", action="store_true",
-                   help="trace a coalesced service workload instead of a "
-                        "single simulation (merges worker-process spans "
-                        "into one correlated timeline)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="service workers for --serve (default: 2)")
-    p.add_argument("--jobs", type=int, default=8,
-                   help="jobs to submit for --serve (default: 8)")
-    p.add_argument("--parallelism", default="none",
-                   choices=["none", "process"],
-                   help="service execution mode for --serve")
-    p.add_argument("--families", default="qft,ghz",
-                   help="circuit families for the --serve workload")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
         "metrics",
         help="render a metrics snapshot as Prometheus exposition text",
     )
@@ -950,8 +849,6 @@ def main(argv: list[str] | None = None) -> int:
                         "default: the live in-process registry")
     p.add_argument("--index", type=int, default=-1,
                    help="which JSONL record to render (default: last)")
-    p.add_argument("--prefix", default="repro_",
-                   help="metric-name prefix (default: repro_)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write to PATH instead of stdout")
     p.set_defaults(fn=cmd_metrics)
@@ -973,11 +870,19 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="equivalence-check two QASM files")
     p.add_argument("--qasm", required=True)
     p.add_argument("--against", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "simulative"])
     p.set_defaults(fn=cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] == "bench":
+        from .bench.__main__ import main as bench_main
+
+        sys.argv = [sys.argv[0]] + argv[1:]
+        bench_main()
+        return 0
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -321,9 +321,9 @@ def test_trace_serve_merged_timeline(tmp_path, capsys):
     import json
 
     trace = tmp_path / "serve-trace.json"
-    rc = main(["trace", "--serve", "--families", "ghz", "-n", "5",
+    rc = main(["serve", "--families", "ghz", "-n", "5",
                "--jobs", "4", "--workers", "2", "--seed", "7",
-               "--out", str(trace)])
+               "--trace-out", str(trace)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "job spans :" in out and "carry job-id attributes" in out
@@ -400,3 +400,58 @@ def test_submit_and_status_over_tcp(capsys):
         assert "1 submitted, 1 done" in out
     finally:
         harness.stop()
+
+
+def test_serve_rejects_an_unknown_family_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--families", "qft,nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown circuit family in 'qft,nosuch'" in err
+    assert "known: " in err and "ghz" in err
+
+
+def test_serve_raises_the_workload_error(monkeypatch):
+    """A failing workload surfaces its own error, not an UnboundLocalError
+    from the final stats snapshot."""
+    from repro.errors import ServiceError
+
+    def broken_workload(*args, **kwargs):
+        raise ServiceError("workload broke")
+
+    monkeypatch.setattr("repro.service.saturation_workload", broken_workload)
+    with pytest.raises(ServiceError, match="workload broke"):
+        main(["serve", "--jobs", "1"])
+
+
+#: hostile CLI input -> (argv, input file text, words the refusal must say);
+#: ``{path}`` in argv stands for the input file
+BAD_INPUTS = {
+    "port-above-65535": (
+        ["status", "--connect", "127.0.0.1:99999"], None, "HOST:PORT"),
+    "port-in-arabic-indic-digits": (
+        ["status", "--connect", "127.0.0.1:٣٣"], None, "HOST:PORT"),
+    "metrics-line-not-json": (
+        ["metrics", "--in", "{path}"], '{"metrics": {}}\nnot json\n',
+        "input:2: not JSON"),
+    "metrics-line-not-an-object": (
+        ["metrics", "--in", "{path}"], "[1, 2]\n",
+        "input:1: not a metrics record"),
+    "stats-not-json": (
+        ["status", "--stats", "{path}"], "{", "input: not JSON"),
+    "slo-without-done": (
+        ["status", "--stats", "{path}"], '{"slo": {"submitted": 1}}',
+        "input: 'slo' block has no 'done' entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_gets_a_one_line_refusal(case, tmp_path):
+    argv, text, words = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    assert isinstance(exc.value.code, str), exc.value.code
+    assert words in exc.value.code

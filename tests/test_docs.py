@@ -7,11 +7,14 @@ module on every push):
   order, in one shared namespace — the page is a runnable script;
 * every ``pycon``/doctest example in the docs tree passes ``doctest``;
 * every relative markdown link in ``docs/`` and the README resolves to
-  a real file.
+  a real file;
+* every ``python -m repro`` command in a ``console`` or ``bash`` block
+  parses with the CLI's own parser.
 """
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ QUICKSTART = DOCS_DIR / "quickstart.md"
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_REPRO_COMMAND = re.compile(r"\bpython -m repro (.*)")
 
 
 def fenced_blocks(path, language):
@@ -37,6 +41,24 @@ def fenced_blocks(path, language):
         elif current is not None:
             current.append(line)
     return blocks
+
+
+def shell_commands(path):
+    """``(line, command)`` for every command in ``path``'s ``console`` and
+    ``bash`` blocks, with lines continued by ``\\`` joined."""
+    commands = []
+    for language in ("console", "bash"):
+        for start, source in fenced_blocks(path, language):
+            parts, first = [], start
+            for lineno, line in enumerate(source.splitlines(), start=start):
+                if not parts:
+                    first = lineno
+                line = line.rstrip()
+                parts.append(line.removesuffix("\\"))
+                if not line.endswith("\\"):
+                    commands.append((first, " ".join(parts)))
+                    parts = []
+    return commands
 
 
 def doc_pages():
@@ -101,3 +123,26 @@ def test_no_dead_relative_links(page):
         if not path.exists():
             dead.append(f"{page.name}: {target}")
     assert not dead, dead
+
+
+def test_docs_console_commands_parse():
+    """Every ``python -m repro`` command the docs show parses with the
+    CLI's parser, so a removed subcommand or flag takes its examples with
+    it."""
+    from repro.__main__ import build_parser
+
+    checked, stale = 0, []
+    for page in doc_pages():
+        for lineno, command in shell_commands(page):
+            match = _REPRO_COMMAND.search(command)
+            if match is None:
+                continue
+            checked += 1
+            try:
+                build_parser().parse_args(
+                    shlex.split(match.group(1), comments=True)
+                )
+            except SystemExit:
+                stale.append(f"{page.name}:{lineno}: {command}")
+    assert checked, "no repro commands found in the docs"
+    assert not stale, stale

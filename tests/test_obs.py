@@ -432,8 +432,8 @@ def test_cli_trace_subcommand(tmp_path, capsys):
 
     out = tmp_path / "trace.json"
     metrics_out = tmp_path / "metrics.jsonl"
-    rc = main(["trace", "--family", "qft", "-n", "6", "--batches", "2",
-               "--batch-size", "8", "--execute", "--out", str(out),
+    rc = main(["simulate", "--family", "qft", "-n", "6", "--batches", "2",
+               "--batch-size", "8", "--execute", "--trace-out", str(out),
                "--metrics-out", str(metrics_out)])
     printed = capsys.readouterr().out
     assert rc == 0

@@ -1,7 +1,6 @@
 """Quantum circuit substrate: gates, circuits, QASM I/O, inputs, generators."""
 
 from .circuit import Circuit, gate_unitary
-from .drawing import draw
 from .gates import Gate, base_arity, base_matrix, known_gate_names
 from .inputs import (
     InputBatch,
@@ -11,13 +10,6 @@ from .inputs import (
     random_batch,
     zero_state_batch,
 )
-from .measure import (
-    fidelity,
-    marginal_probability,
-    pauli_expectation,
-    probabilities,
-    sample_counts,
-)
 from .qasm import load_qasm, parse_qasm, to_qasm
 
 __all__ = [
@@ -25,21 +17,15 @@ __all__ = [
     "base_matrix",
     "basis_batch",
     "Circuit",
-    "draw",
-    "fidelity",
     "Gate",
     "gate_unitary",
     "generate_batches",
     "InputBatch",
     "known_gate_names",
     "load_qasm",
-    "marginal_probability",
     "parse_qasm",
-    "pauli_expectation",
     "perturbed_batch",
-    "probabilities",
     "random_batch",
-    "sample_counts",
     "to_qasm",
     "zero_state_batch",
 ]

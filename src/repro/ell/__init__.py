@@ -4,12 +4,8 @@ from .convert import DEFAULT_TAU, ell_from_dd, ell_from_flat_gpu
 from .format import ELLMatrix, ell_from_dense
 from .persist import (
     CompiledPlan,
-    EllBundle,
-    bundle_from_plan,
-    load_bundle,
     load_compiled_plan,
     plan_fingerprint,
-    save_bundle,
     save_compiled_plan,
 )
 from .spmm import (
@@ -24,7 +20,6 @@ from .spmm import (
 
 __all__ = [
     "build_apply_plans",
-    "bundle_from_plan",
     "CompiledPlan",
     "DEFAULT_TAU",
     "ell_from_dd",
@@ -32,14 +27,11 @@ __all__ = [
     "ell_from_flat_gpu",
     "ell_spmm",
     "ell_spmm_loop",
-    "EllBundle",
     "ELLMatrix",
     "gather_plan",
     "GatherPlan",
-    "load_bundle",
     "load_compiled_plan",
     "plan_fingerprint",
-    "save_bundle",
     "save_compiled_plan",
     "spmm_bytes",
     "spmm_macs",

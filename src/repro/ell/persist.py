@@ -1,18 +1,15 @@
-"""Persisting compiled simulation artifacts.
+"""Persisting compiled execution plans.
 
 The paper highlights that "the circuit is optimized once into a reusable
-simulation task graph"; this module makes the expensive one-time artifacts
-reusable *across processes* by saving them to a single ``.npz`` archive.
+simulation task graph"; this module makes that one-time work reusable
+*across processes* by saving it to a single ``.npz`` archive.
 
-Two formats are supported:
-
-* **v1** — :class:`EllBundle`: just the ordered fused-gate ELL matrices.
-* **v2** — :class:`CompiledPlan`: the *full* compiled execution plan — the
-  fusion-plan metadata (per-fused-gate costs, source-gate provenance,
-  non-zero totals), the hybrid conversion decisions (``conv_infos``), and
-  optionally the converted ELL matrices.  This is what the disk tier of
-  :class:`~repro.sim.base.PlanCache` round-trips so a warm process skips
-  stages 1-2 (fusion + conversion) entirely.
+A :class:`CompiledPlan` (archive format 2) is the full compiled execution
+plan: the fusion-plan metadata (per-fused-gate costs, source-gate
+provenance, non-zero totals), the hybrid conversion decisions
+(``conv_infos``), and optionally the converted ELL matrices.  The disk
+tier of :class:`~repro.sim.base.PlanCache` round-trips it, so a warm
+process skips stages 1-2 (fusion + conversion) entirely.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import numpy as np
 from ..errors import ConversionError
 from .format import ELLMatrix
 
-_FORMAT_VERSION = 1
 _PLAN_FORMAT_VERSION = 2
 
 
@@ -67,8 +63,8 @@ def plan_fingerprint(circuit, extra: tuple = ()) -> str:
 
 
 @contextmanager
-def _open_archive(path: str | Path, what: str):
-    """Open an ``.npz`` archive, mapping every I/O-level failure — missing
+def _open_archive(path: str | Path):
+    """Open a plan archive, mapping every I/O-level failure — missing
     file, truncation, zip corruption, bad compression stream — to a typed
     :class:`ConversionError` instead of leaking ``OSError``/``BadZipFile``."""
     path = Path(path)
@@ -85,121 +81,40 @@ def _open_archive(path: str | Path, what: str):
         zlib.error,
     ) as exc:
         raise ConversionError(
-            f"unreadable {what} archive {path.name!r}: {exc}"
+            f"unreadable plan archive {path.name!r}: {exc}"
         ) from exc
 
 
-def _read(data, key: str, what: str):
+def _read(data, key: str):
     """Read one archive entry, naming the offending key on failure."""
     try:
         return data[key]
     except KeyError:
         raise ConversionError(
-            f"{what} archive is missing entry {key!r}", key=key
+            f"plan archive is missing entry {key!r}", key=key
         ) from None
     except (ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConversionError(
-            f"{what} archive entry {key!r} is corrupt: {exc}", key=key
+            f"plan archive entry {key!r} is corrupt: {exc}", key=key
         ) from exc
 
 
-def _check_version(data, expected: int, what: str) -> int:
-    version = int(_read(data, "format_version", what))
-    if version == expected:
+def _check_version(data) -> int:
+    version = int(_read(data, "format_version"))
+    if version == _PLAN_FORMAT_VERSION:
         return version
-    if version > expected:
+    if version > _PLAN_FORMAT_VERSION:
         raise ConversionError(
-            f"{what} format {version} is newer than supported "
-            f"({expected}); upgrade to read this archive",
+            f"plan format {version} is newer than supported "
+            f"({_PLAN_FORMAT_VERSION}); upgrade to read this archive",
             version=version,
         )
     raise ConversionError(
-        f"{what} format {version} not supported (expected {expected})",
+        f"plan format {version} not supported "
+        f"(expected {_PLAN_FORMAT_VERSION})",
         version=version,
     )
 
-
-@dataclass(frozen=True)
-class EllBundle:
-    """An ordered list of fused-gate ELL matrices for one circuit."""
-
-    circuit_name: str
-    num_qubits: int
-    matrices: tuple[ELLMatrix, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def total_cost(self) -> int:
-        """#MAC per amplitude across the bundle."""
-        return sum(m.width for m in self.matrices)
-
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """Push a state block through every matrix in order.
-
-        Runs on compiled gather plans with consecutive width-1 matrices
-        composed into a single pass (see :func:`repro.ell.build_apply_plans`).
-        """
-        from .spmm import build_apply_plans
-
-        for plan in build_apply_plans(self.matrices):
-            states = plan.apply(states)
-        return states
-
-
-def save_bundle(bundle: EllBundle, path: str | Path) -> Path:
-    """Write a bundle as a compressed ``.npz`` archive."""
-    path = Path(path)
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "num_qubits": np.array(bundle.num_qubits),
-        "num_gates": np.array(len(bundle.matrices)),
-        "circuit_name": np.array(bundle.circuit_name),
-    }
-    for i, matrix in enumerate(bundle.matrices):
-        payload[f"values_{i}"] = matrix.values
-        payload[f"cols_{i}"] = matrix.cols
-    np.savez_compressed(path, **payload)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_bundle(path: str | Path) -> EllBundle:
-    """Load a bundle previously written by :func:`save_bundle`.
-
-    Every failure mode — missing file, truncated zip, missing entry, bad
-    format version — raises :class:`ConversionError` (never a bare
-    ``KeyError`` or ``BadZipFile``) so callers can treat the archive as a
-    cache miss or quarantine it.
-    """
-    with _open_archive(path, "bundle") as data:
-        _check_version(data, _FORMAT_VERSION, "bundle")
-        num_qubits = int(_read(data, "num_qubits", "bundle"))
-        num_gates = int(_read(data, "num_gates", "bundle"))
-        matrices = []
-        for i in range(num_gates):
-            values = _read(data, f"values_{i}", "bundle")
-            cols = _read(data, f"cols_{i}", "bundle")
-            matrices.append(ELLMatrix(num_qubits, values, cols))
-        return EllBundle(
-            circuit_name=str(_read(data, "circuit_name", "bundle")),
-            num_qubits=num_qubits,
-            matrices=tuple(matrices),
-        )
-
-
-def bundle_from_plan(circuit_name: str, num_qubits: int, ells) -> EllBundle:
-    """Wrap a list of converted ELL matrices as a bundle."""
-    return EllBundle(
-        circuit_name=circuit_name,
-        num_qubits=num_qubits,
-        matrices=tuple(ells),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Format v2: full compiled execution plans
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CompiledPlan:
@@ -307,15 +222,18 @@ def save_compiled_plan(plan: CompiledPlan, path: str | Path) -> Path:
 def load_compiled_plan(path: str | Path) -> CompiledPlan:
     """Load a compiled plan previously written by :func:`save_compiled_plan`.
 
-    Same failure contract as :func:`load_bundle`: every problem surfaces as
-    a typed :class:`ConversionError` carrying the offending key or version.
+    Every failure mode — missing file, truncated zip, missing entry, bad
+    format version — raises :class:`ConversionError` carrying the
+    offending key or version (never a bare ``KeyError`` or
+    ``BadZipFile``), so callers can treat the archive as a cache miss or
+    quarantine it.
     """
-    with _open_archive(path, "plan") as data:
-        _check_version(data, _PLAN_FORMAT_VERSION, "plan")
-        num_qubits = int(_read(data, "num_qubits", "plan"))
-        num_gates = int(_read(data, "num_gates", "plan"))
-        flat = _read(data, "gate_indices_flat", "plan")
-        offsets = _read(data, "gate_indices_offsets", "plan")
+    with _open_archive(path) as data:
+        _check_version(data)
+        num_qubits = int(_read(data, "num_qubits"))
+        num_gates = int(_read(data, "num_gates"))
+        flat = _read(data, "gate_indices_flat")
+        offsets = _read(data, "gate_indices_offsets")
         gate_indices = tuple(
             tuple(int(i) for i in flat[offsets[g] : offsets[g + 1]])
             for g in range(num_gates)
@@ -328,39 +246,39 @@ def load_compiled_plan(path: str | Path) -> CompiledPlan:
                 "time": float(t),
             }
             for route, edges, width, t in zip(
-                _read(data, "conv_routes", "plan"),
-                _read(data, "conv_edges", "plan"),
-                _read(data, "conv_widths", "plan"),
-                _read(data, "conv_times", "plan"),
+                _read(data, "conv_routes"),
+                _read(data, "conv_edges"),
+                _read(data, "conv_widths"),
+                _read(data, "conv_times"),
             )
         )
         approx: dict | None = None
         if "approx_json" in getattr(data, "files", ()):
             try:
-                approx = json.loads(str(_read(data, "approx_json", "plan")))
+                approx = json.loads(str(_read(data, "approx_json")))
             except (TypeError, ValueError) as exc:
                 raise ConversionError(
                     f"plan archive entry 'approx_json' is corrupt: {exc}",
                     key="approx_json",
                 ) from exc
         matrices: tuple[ELLMatrix, ...] | None = None
-        if int(_read(data, "has_matrices", "plan")):
+        if int(_read(data, "has_matrices")):
             loaded = []
             for i in range(num_gates):
-                values = _read(data, f"values_{i}", "plan")
-                cols = _read(data, f"cols_{i}", "plan")
+                values = _read(data, f"values_{i}")
+                cols = _read(data, f"cols_{i}")
                 loaded.append(ELLMatrix(num_qubits, values, cols))
             matrices = tuple(loaded)
         return CompiledPlan(
-            fingerprint=str(_read(data, "fingerprint", "plan")),
-            circuit_name=str(_read(data, "circuit_name", "plan")),
+            fingerprint=str(_read(data, "fingerprint")),
+            circuit_name=str(_read(data, "circuit_name")),
             num_qubits=num_qubits,
-            algorithm=str(_read(data, "algorithm", "plan")),
-            source_gate_count=int(_read(data, "source_gate_count", "plan")),
-            fused_nodes=int(_read(data, "fused_nodes", "plan")),
-            gate_costs=tuple(int(c) for c in _read(data, "gate_costs", "plan")),
+            algorithm=str(_read(data, "algorithm")),
+            source_gate_count=int(_read(data, "source_gate_count")),
+            fused_nodes=int(_read(data, "fused_nodes")),
+            gate_costs=tuple(int(c) for c in _read(data, "gate_costs")),
             gate_indices=gate_indices,
-            gate_nnz=tuple(float(x) for x in _read(data, "gate_nnz", "plan")),
+            gate_nnz=tuple(float(x) for x in _read(data, "gate_nnz")),
             conv_infos=conv_infos,
             matrices=matrices,
             approx=approx,

@@ -1,4 +1,4 @@
-"""Property-based tests for the mutation operators and plan persistence."""
+"""Property-based tests for the mutation operators and plan archives."""
 
 from __future__ import annotations
 
@@ -42,22 +42,17 @@ def test_preserving_mutations_hold_on_random_circuits(circuit, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(small_circuits(num_qubits=3, max_gates=6), st.integers(0, 10**6))
-def test_bundle_roundtrip_random_circuits(circuit, seed):
+def test_plan_archive_roundtrip_random_circuits(circuit, seed):
+    """A plan archive written by a cold run and loaded by a fresh
+    simulator gives bit-identical outputs."""
     import tempfile
-    from pathlib import Path
 
-    from repro.dd import DDManager
-    from repro.ell import bundle_from_plan, ell_from_dd, load_bundle, save_bundle
-    from repro.fusion import bqcs_fusion
+    from repro.sim import BQSimSimulator, BatchSpec
 
-    mgr = DDManager(3)
-    plan = bqcs_fusion(mgr, circuit)
-    ells = [ell_from_dd(fg.dd, 3) for fg in plan.gates]
-    bundle = bundle_from_plan("prop", 3, ells)
+    spec = BatchSpec(num_batches=1, batch_size=2, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bundle.npz"
-        save_bundle(bundle, path)
-        loaded = load_bundle(path)
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    assert np.allclose(loaded.apply(states.copy()), bundle.apply(states.copy()))
+        cold = BQSimSimulator(cache_dir=tmp).run(circuit, spec)
+        warm = BQSimSimulator(cache_dir=tmp).run(circuit, spec)
+    assert warm.stats["plan_source"] == "disk"
+    for a, b in zip(cold.outputs, warm.outputs, strict=True):
+        assert np.array_equal(a, b)

@@ -6,8 +6,7 @@ Subcommands::
                               [--simulator bqsim|cuquantum|qiskit-aer|flatdd]
                               [--batches N] [--batch-size B] [--execute]
                               [--trace-out trace.json] [--metrics-out m.jsonl]
-    python -m repro serve     --families qft,ghz -n 6 --jobs 24
-                              [--workers 2 --parallelism process]
+    python -m repro serve     --families qft,ghz --workers 2 --parallelism process
                               [--trace-out serve.json]  # merged cross-process trace
     python -m repro gateway   --port 7421 --shards 2 --workers 2
                               --parallelism process  # TCP front door
@@ -22,8 +21,7 @@ Subcommands::
 
 Circuits come either from a generator family (``--family``/``-n``) or an
 OpenQASM 2 file (``--qasm``).  ``serve`` and ``gateway`` take the same
-service options; ``--trace-out`` on ``simulate`` and ``serve`` writes a
-Chrome/Perfetto trace and prints what it recorded.
+service options.
 """
 
 from __future__ import annotations
@@ -70,12 +68,10 @@ def _add_circuit_args(parser) -> None:
 def _families(text: str) -> list[str]:
     """``--families``: comma-separated names, each one of ``FAMILIES``."""
     families = [f.strip() for f in text.split(",") if f.strip()]
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown or not families:
+    if not families or not set(families) <= FAMILIES.keys():
         raise argparse.ArgumentTypeError(
             f"unknown circuit family in {text!r} "
-            f"(known: {', '.join(sorted(FAMILIES))})"
-        )
+            f"(known: {', '.join(sorted(FAMILIES))})")
     return families
 
 
@@ -117,14 +113,18 @@ def _add_service_args(parser, max_depth: int) -> None:
                         help="write the service summary stats as JSON")
 
 
-def _simulator_kwargs(args) -> dict:
-    """The worker simulators' options: those of these flags that are set."""
-    names = ("health", "max_splits", "faults", "engine")
+def _given(args, *names) -> dict:
+    """``{name: value}`` for each of ``names`` that the command set."""
     return {
         name: getattr(args, name)
         for name in names
         if getattr(args, name, None) is not None
     }
+
+
+def _simulator_kwargs(args) -> dict:
+    """The worker simulators' arguments (``serve``, ``gateway``, ``submit``)."""
+    return _given(args, "health", "max_splits", "faults", "engine")
 
 
 def _service_kwargs(args) -> dict:
@@ -134,11 +134,8 @@ def _service_kwargs(args) -> dict:
         "max_depth": args.max_depth,
         "parallelism": args.parallelism,
         "simulator_kwargs": _simulator_kwargs(args),
+        **_given(args, "max_deliveries", "max_restarts"),
     }
-    if args.max_deliveries is not None:
-        kwargs["max_deliveries"] = args.max_deliveries
-    if args.max_restarts is not None:
-        kwargs["max_restarts"] = args.max_restarts
     if args.timeout is not None:
         kwargs["default_timeout_s"] = args.timeout
     if args.chaos is not None:
@@ -155,11 +152,8 @@ def _write_json(path, doc) -> None:
 
 
 def _write_reports(args, stats, source=None) -> None:
-    """Write the report files a command was given, and say so.
-
-    ``source`` is the service or shard router whose lifecycle log (and,
-    for ``serve``, queue metrics) the files take.
-    """
+    """Write the report files the command asked for, and say so; the
+    lifecycle and queue-metrics files come from ``source``."""
     if source is not None and args.lifecycle_out:
         count = source.write_lifecycle(args.lifecycle_out)
         print(f"lifecycle : wrote {count} events to {args.lifecycle_out}")
@@ -187,16 +181,10 @@ def _recording(enabled):
         spans.extend(tracer.spans_since(mark))
 
 
-def _run_simulation(args):
-    """Run one simulation and write the files its flags ask for."""
+def cmd_simulate(args) -> int:
+    """Run one batch simulation and write the files its flags ask for."""
     circuit = _circuit_from_args(args)
-    bqsim_kwargs = {}
-    if args.health is not None:
-        bqsim_kwargs["health"] = args.health
-    if args.checkpoint_dir is not None:
-        bqsim_kwargs["checkpoint_dir"] = args.checkpoint_dir
-    if args.max_splits is not None:
-        bqsim_kwargs["max_splits"] = args.max_splits
+    bqsim_kwargs = _given(args, "health", "checkpoint_dir", "max_splits")
     if args.fidelity != 1.0:
         if args.simulator != "bqsim":
             raise SystemExit(
@@ -204,9 +192,8 @@ def _run_simulation(args):
                 "--simulator bqsim"
             )
         bqsim_kwargs["fidelity"] = args.fidelity
-    simulator = make_simulators(engine=args.engine, **bqsim_kwargs)[
-        args.simulator
-    ]
+    simulators = make_simulators(engine=args.engine, **bqsim_kwargs)
+    simulator = simulators[args.simulator]
     if args.faults is not None:
         # scope the plan to the chosen simulator's runs
         simulator.faults = args.faults
@@ -224,38 +211,6 @@ def _run_simulation(args):
     with _recording(args.trace_out) as spans:
         result = simulator.run(circuit, spec, execute=args.execute,
                                **run_kwargs)
-    if args.trace_out:
-        write_chrome_trace(
-            args.trace_out, spans, timeline=result.timeline,
-            metadata={
-                "circuit": circuit.name,
-                "simulator": result.simulator,
-                "engine": result.stats.get("engine", "numpy"),
-            },
-        )
-    if args.resilience_out:
-        events = result.stats.get("resilience", {}).get("events", [])
-        with open(args.resilience_out, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
-    if args.metrics_out:
-        write_metrics_jsonl(args.metrics_out, [
-            metrics_record(
-                f"{result.simulator}:{circuit.name}",
-                result.stats.get("metrics", get_metrics().snapshot()),
-                circuit=circuit.name,
-                simulator=result.simulator,
-                modeled_time_s=result.modeled_time,
-                wall_time_s=result.wall_time,
-            )
-        ])
-    if args.stats_json:
-        _write_json(args.stats_json, simulation_stats_record(result))
-    return circuit, spec, result, spans
-
-
-def cmd_simulate(args) -> int:
-    circuit, spec, result, spans = _run_simulation(args)
     print(f"circuit   : {circuit.name} ({circuit.num_qubits} qubits, "
           f"{len(circuit)} gates)")
     print(f"workload  : {spec.num_batches} batches x {spec.batch_size} inputs")
@@ -285,8 +240,19 @@ def cmd_simulate(args) -> int:
               f"(backend {resilience.get('backend', '?')}, "
               f"batch split x{resilience.get('batch_split', 1)})")
     if args.resilience_out:
+        with open(args.resilience_out, "w", encoding="utf-8") as fh:
+            for event in resilience.get("events", []):
+                fh.write(json.dumps(event) + "\n")
         print(f"resilience: wrote {args.resilience_out}")
     if args.trace_out:
+        write_chrome_trace(
+            args.trace_out, spans, timeline=result.timeline,
+            metadata={
+                "circuit": circuit.name,
+                "simulator": result.simulator,
+                "engine": result.stats.get("engine", "numpy"),
+            },
+        )
         stages = [s for s in spans if s.attrs.get("category") == "stage"]
         print(f"spans     : {len(spans)} recorded "
               f"({len(stages)} pipeline stages)")
@@ -298,8 +264,19 @@ def cmd_simulate(args) -> int:
         print(f"trace     : wrote {args.trace_out} "
               f"(open in https://ui.perfetto.dev)")
     if args.metrics_out:
+        write_metrics_jsonl(args.metrics_out, [
+            metrics_record(
+                f"{result.simulator}:{circuit.name}",
+                result.stats.get("metrics", get_metrics().snapshot()),
+                circuit=circuit.name,
+                simulator=result.simulator,
+                modeled_time_s=result.modeled_time,
+                wall_time_s=result.wall_time,
+            )
+        ])
         print(f"metrics   : wrote {args.metrics_out}")
     if args.stats_json:
+        _write_json(args.stats_json, simulation_stats_record(result))
         print(f"stats     : wrote {args.stats_json}")
     return 0
 
@@ -307,10 +284,8 @@ def cmd_simulate(args) -> int:
 def cmd_serve(args) -> int:
     """Run the scripted saturation workload against an in-process service.
 
-    With ``--trace-out`` tracing starts before the service is built, so in
-    process mode every worker's spans come back on its own
-    ``pool-worker-N`` track, and the service and pool spans carry job-id
-    attributes: one job correlates across processes in one timeline.
+    ``--trace-out`` starts tracing before the service is built, so process
+    workers ship their spans back onto ``pool-worker-N`` tracks.
     """
     from .service import BatchSimulationService, saturation_workload
 
@@ -318,11 +293,8 @@ def cmd_serve(args) -> int:
         service = BatchSimulationService(**_service_kwargs(args))
         try:
             stats = saturation_workload(
-                service,
-                args.families,
-                num_qubits=args.num_qubits,
-                num_jobs=args.jobs,
-                seed=args.seed,
+                service, args.families, num_qubits=args.num_qubits,
+                num_jobs=args.jobs, seed=args.seed,
             )
         finally:
             service.close(drain=args.drain)
@@ -365,15 +337,11 @@ def cmd_serve(args) -> int:
           f"/{slo.get('deadline_jobs', 0)}, "
           f"{slo.get('unaccounted_jobs', 0)} unaccounted")
     if args.trace_out:
-        write_chrome_trace(
-            args.trace_out,
-            spans,
-            metadata={
-                "mode": "service",
-                "parallelism": args.parallelism,
-                "workers": args.workers,
-            },
-        )
+        write_chrome_trace(args.trace_out, spans, metadata={
+            "mode": "service",
+            "parallelism": args.parallelism,
+            "workers": args.workers,
+        })
         threads = sorted({s.thread for s in spans})
         job_spans = [
             s for s in spans if "job_ids" in s.attrs or "job" in s.attrs
@@ -459,93 +427,68 @@ def _parse_connect(connect: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _submit_remote(args) -> int:
-    """Submit one job over TCP to a running gateway and wait for it.
+def cmd_submit(args) -> int:
+    """Submit one job and wait for it: to a fresh in-process service, or
+    with ``--connect`` over TCP to a running gateway.
 
-    The input batch is generated *client-side* with the same seed an
-    in-process service would use for its first submission, so the
-    amplitudes coming back over the wire are bit-identical to
-    ``repro submit`` without ``--connect``.
+    Over TCP the input batch is generated *client-side* with the seed an
+    in-process service uses for its first submission, so the amplitudes
+    coming back over the wire are bit-identical to the in-process ones.
     """
-    from .circuit.inputs import random_batch
-    from .gateway import GatewayClient
+    from .obs.export import service_job_stats_record
 
     circuit = _circuit_from_args(args)
-    host, port = _parse_connect(args.connect)
-    batch = random_batch(circuit.num_qubits, args.inputs, 0)
-    client = GatewayClient(host, port)
+    if args.connect:
+        from .circuit.inputs import random_batch
+        from .gateway import GatewayClient
+
+        host, port = _parse_connect(args.connect)
+        batch = random_batch(circuit.num_qubits, args.inputs, 0)
+        client = GatewayClient(host, port)
+        job_args = {"inputs": batch.states, "tenant": args.tenant}
+        via = f", tenant {args.tenant}, via {host}:{port}"
+    else:
+        from .service import ServiceClient
+
+        client = ServiceClient(
+            num_workers=args.workers,
+            parallelism=args.parallelism,
+            simulator_kwargs=_simulator_kwargs(args),
+        )
+        job_args = {"num_inputs": args.inputs,
+                    "max_deliveries": args.max_deliveries}
+        via = ""
     try:
         job_id = client.submit(
-            circuit,
-            inputs=batch.states,
-            tenant=args.tenant,
-            priority=args.priority,
-            timeout_s=args.timeout,
-            fidelity=args.fidelity,
+            circuit, priority=args.priority, timeout_s=args.timeout,
+            fidelity=args.fidelity, **job_args,
         )
         print(f"submitted : {job_id} ({circuit.name}, {args.inputs} "
-              f"input(s), priority {args.priority}, "
-              f"tenant {args.tenant}, via {host}:{port})")
+              f"input(s), priority {args.priority}{via})")
         amplitudes = client.result(job_id)
-        info = client.status(job_id)
-        norm = float(abs(amplitudes[:, 0] ** 2).sum())
-        print(f"status    : {info['status']} (shard {info['shard']}, "
-              f"group {info['group_key']}, attempts {info['attempts']})")
-        if args.fidelity < 1.0:
+        if args.connect:
+            info = client.status(job_id)
+            shard = f"shard {info['shard']}, "
+        else:
+            info, shard = client.service.job(job_id).describe(), ""
+        print(f"status    : {info['status']} ({shard}group "
+              f"{info['group_key']}, attempts {info['attempts']})")
+        if info["fidelity"] < 1.0:
             achieved = info["achieved_fidelity"]
             achieved_s = "n/a" if achieved is None else f"{achieved:.6f}"
             print(f"fidelity  : budget {info['fidelity']:g}, "
                   f"achieved {achieved_s}")
-        print(f"result    : {amplitudes.shape[1]} output state(s), "
-              f"first column norm {norm:.6f}")
-        if args.prom_out:
-            text = client.metrics()
-            with open(args.prom_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"prom      : wrote {args.prom_out}")
-    finally:
-        client.close()
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit one job to a fresh in-process service and wait for it."""
-    from .obs.export import service_job_stats_record
-    from .service import ServiceClient
-
-    if args.connect:
-        return _submit_remote(args)
-    circuit = _circuit_from_args(args)
-    client = ServiceClient(
-        num_workers=args.workers,
-        parallelism=args.parallelism,
-        simulator_kwargs=_simulator_kwargs(args),
-    )
-    try:
-        job_id = client.submit(
-            circuit, num_inputs=args.inputs, priority=args.priority,
-            timeout_s=args.timeout, max_deliveries=args.max_deliveries,
-            fidelity=args.fidelity,
-        )
-        print(f"submitted : {job_id} ({circuit.name}, {args.inputs} "
-              f"input(s), priority {args.priority})")
-        amplitudes = client.result(job_id)
-        job = client.service.job(job_id)
         norm = float(abs(amplitudes[:, 0] ** 2).sum())
-        print(f"status    : {job.status.value} "
-              f"(group {job.group_key[:12]}, attempts {job.attempts})")
-        if job.fidelity < 1.0:
-            achieved = job.achieved_fidelity
-            achieved_s = "n/a" if achieved is None else f"{achieved:.6f}"
-            print(f"fidelity  : budget {job.fidelity:g}, "
-                  f"achieved {achieved_s}")
         print(f"result    : {amplitudes.shape[1]} output state(s), "
               f"first column norm {norm:.6f}")
-        _write_reports(
-            args,
-            service_job_stats_record(job, client.service)
-            if args.stats_json else None,
-        )
+        if args.connect and args.prom_out:
+            with open(args.prom_out, "w", encoding="utf-8") as fh:
+                fh.write(client.metrics())
+            print(f"prom      : wrote {args.prom_out}")
+        elif not args.connect:
+            job = client.service.job(job_id)
+            _write_reports(args, service_job_stats_record(job, client.service)
+                           if args.stats_json else None)
     finally:
         client.close()
     return 0
@@ -579,17 +522,13 @@ def cmd_metrics(args) -> int:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SystemExit(
-                    f"{args.input}:{lineno}: not JSON ({exc.msg})"
-                ) from None
+            except json.JSONDecodeError:
+                record = None
             if isinstance(record, dict):
                 record = record.get("metrics", record)
             if not isinstance(record, dict):
                 raise SystemExit(
-                    f"{args.input}:{lineno}: not a metrics record "
-                    f"(expected a JSON object)"
-                )
+                    f"{args.input}:{lineno}: not a JSON metrics record")
             snapshots.append(record)
         if not snapshots:
             raise SystemExit(f"no metrics records in {args.input}")

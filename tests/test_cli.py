@@ -433,10 +433,10 @@ BAD_INPUTS = {
         ["status", "--connect", "127.0.0.1:٣٣"], None, "HOST:PORT"),
     "metrics-line-not-json": (
         ["metrics", "--in", "{path}"], '{"metrics": {}}\nnot json\n',
-        "input:2: not JSON"),
+        "input:2: not a JSON metrics record"),
     "metrics-line-not-an-object": (
         ["metrics", "--in", "{path}"], "[1, 2]\n",
-        "input:1: not a metrics record"),
+        "input:1: not a JSON metrics record"),
     "stats-not-json": (
         ["status", "--stats", "{path}"], "{", "input: not JSON"),
     "slo-without-done": (

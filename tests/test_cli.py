@@ -431,6 +431,8 @@ BAD_INPUTS = {
         ["status", "--connect", "127.0.0.1:99999"], None, "HOST:PORT"),
     "port-in-arabic-indic-digits": (
         ["status", "--connect", "127.0.0.1:٣٣"], None, "HOST:PORT"),
+    "tenant-weight-in-superscript-digits": (
+        ["gateway", "--tenant-weight", "gold=²"], None, "NAME=WEIGHT"),
     "metrics-line-not-json": (
         ["metrics", "--in", "{path}"], '{"metrics": {}}\nnot json\n',
         "input:2: not a JSON metrics record"),

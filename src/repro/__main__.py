@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -361,6 +362,7 @@ def cmd_gateway(args) -> int:
     import signal
 
     from .gateway import GatewayServer, ShardRouter, TenantQuotas
+    from .service.pool import pin_allocator
 
     tenants = {}
     for spec in args.tenant_weight or []:
@@ -370,6 +372,8 @@ def cmd_gateway(args) -> int:
                 f"--tenant-weight expects NAME=WEIGHT, got {spec!r}"
             )
         tenants[name] = {"weight": int(weight)}
+    # before the fleet allocates anything (see pin_allocator)
+    pinned = pin_allocator()
     quotas = None
     if args.quota_rate > 0 or tenants:
         quotas = TenantQuotas(
@@ -389,11 +393,13 @@ def cmd_gateway(args) -> int:
         await server.start()
         print(f"gateway   : listening on {server.host}:{server.port} "
               f"({args.shards} shard(s) x {args.workers} worker(s), "
-              f"routing={args.routing}, parallelism={args.parallelism})")
+              f"routing={args.routing}, parallelism={args.parallelism}, "
+              f"allocator={'pinned' if pinned else 'default'})")
+        # flush first: whoever sees the port file finds the line logged
+        sys.stdout.flush()
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as fh:
                 fh.write(f"{server.port}\n")
-        sys.stdout.flush()
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -427,6 +433,31 @@ def _parse_connect(connect: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _connect(connect: str):
+    """A ``GatewayClient`` on ``--connect HOST:PORT``, or a one-line
+    refusal when nothing answers there."""
+    from .gateway import GatewayClient
+
+    host, port = _parse_connect(connect)
+    try:
+        return GatewayClient(host, port)
+    except OSError as exc:
+        # asyncio words a refusal "Connect call failed"; name the errno
+        reason = (
+            os.strerror(exc.errno) if (exc.errno or 0) > 0
+            else exc.strerror or str(exc)
+        )
+        raise SystemExit(f"cannot connect to {host}:{port}: {reason}") from None
+
+
+#: ``submit`` flags that configure an in-process service; a gateway runs
+#: with its own settings, so ``--connect`` refuses them
+_IN_PROCESS_ONLY = (
+    "stats_json", "workers", "parallelism", "engine", "faults",
+    "max_deliveries",
+)
+
+
 def cmd_submit(args) -> int:
     """Submit one job and wait for it: to a fresh in-process service, or
     with ``--connect`` over TCP to a running gateway.
@@ -440,19 +471,25 @@ def cmd_submit(args) -> int:
     circuit = _circuit_from_args(args)
     if args.connect:
         from .circuit.inputs import random_batch
-        from .gateway import GatewayClient
 
-        host, port = _parse_connect(args.connect)
+        ignored = _given(args, *_IN_PROCESS_ONLY)
+        if ignored:
+            flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+            raise SystemExit(
+                f"submit --connect does not take {flags} (they configure "
+                "an in-process service; the gateway uses its own)"
+            )
         batch = random_batch(circuit.num_qubits, args.inputs, 0)
-        client = GatewayClient(host, port)
+        client = _connect(args.connect)
         job_args = {"inputs": batch.states, "tenant": args.tenant}
-        via = f", tenant {args.tenant}, via {host}:{port}"
+        via = f", tenant {args.tenant}, via {args.connect}"
     else:
         from .service import ServiceClient
 
+        options = _given(args, "workers", "parallelism")
         client = ServiceClient(
-            num_workers=args.workers,
-            parallelism=args.parallelism,
+            num_workers=options.get("workers", 1),
+            parallelism=options.get("parallelism", "none"),
             simulator_kwargs=_simulator_kwargs(args),
         )
         job_args = {"num_inputs": args.inputs,
@@ -567,10 +604,7 @@ def cmd_status(args) -> int:
     merged fleet stats from a running gateway instead of a file.
     """
     if args.connect:
-        from .gateway import GatewayClient
-
-        host, port = _parse_connect(args.connect)
-        client = GatewayClient(host, port)
+        client = _connect(args.connect)
         try:
             doc = client.stats()
         finally:
@@ -768,9 +802,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults", default=None, metavar="PLAN")
     p.add_argument("--engine", default=None,
                    choices=["numpy", "fake-gpu", "cupy"])
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--parallelism", default="none",
-                   choices=["none", "process"])
+    p.add_argument("--workers", type=int, default=None,
+                   help="in-process service workers (default: 1)")
+    p.add_argument("--parallelism", default=None,
+                   choices=["none", "process"],
+                   help="in-process service executor (default: none)")
     p.add_argument("--stats-json", default=None, metavar="PATH",
                    help="write job + service stats as JSON (same schema "
                         "as 'repro simulate --stats-json')")

@@ -41,6 +41,20 @@ from .protocol import (
 import json
 
 
+def _refusal(response: dict) -> ProtocolError:
+    """The typed error an ``"ok": false`` frame carries."""
+    error = response.get("error") or {}
+    return ProtocolError(
+        error.get("code", "INTERNAL"),
+        error.get("message", "gateway refused the request"),
+        **{
+            key: value
+            for key, value in error.items()
+            if key not in ("code", "message")
+        },
+    )
+
+
 class AsyncGatewayClient:
     """One NDJSON protocol connection (asyncio).
 
@@ -106,16 +120,7 @@ class AsyncGatewayClient:
         response = json.loads(line)
         if response.get("ok"):
             return response
-        error = response.get("error") or {}
-        raise ProtocolError(
-            error.get("code", "INTERNAL"),
-            error.get("message", "gateway refused the request"),
-            **{
-                key: value
-                for key, value in error.items()
-                if key not in ("code", "message")
-            },
-        )
+        raise _refusal(response)
 
     @staticmethod
     def _circuit_wire(
@@ -224,7 +229,9 @@ class AsyncGatewayClient:
 
         Takes the connection over (the protocol's stream mode); open a
         dedicated client for streaming.  ``from_seq=0`` replays every
-        event the server has recorded.
+        event the server still keeps.  A start older than the server's
+        event window, or a reader that falls behind it, raises
+        :class:`ProtocolError` ``STREAM_EXPIRED`` with ``oldest_seq``.
         """
         payload = {} if from_seq is None else {"from_seq": from_seq}
         await self._call("stream", **payload)
@@ -235,6 +242,8 @@ class AsyncGatewayClient:
             frame = json.loads(line)
             if frame.get("stream"):
                 yield frame
+            elif frame.get("ok") is False:
+                raise _refusal(frame)
 
 
 class GatewayClient:
@@ -254,7 +263,11 @@ class GatewayClient:
             daemon=True,
         )
         self._thread.start()
-        self._run(self._async.connect())
+        try:
+            self._run(self._async.connect())
+        except BaseException:
+            self._stop_loop()
+            raise
 
     def _run(self, coroutine):
         return asyncio.run_coroutine_threadsafe(
@@ -265,6 +278,9 @@ class GatewayClient:
         if self._loop.is_closed():
             return
         self._run(self._async.close())
+        self._stop_loop()
+
+    def _stop_loop(self) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()

@@ -75,6 +75,7 @@ ERROR_CODES = frozenset(
         "JOB_FAILED",  # result requested for a failed/quarantined job
         "NOT_CANCELLABLE",
         "TIMEOUT",  # a bounded wait expired server-side
+        "STREAM_EXPIRED",  # a stream start fell out of the event window
         "INTERNAL",  # anything else; the message is sanitized
     }
 )

@@ -11,9 +11,15 @@ bounded ``result`` waits.
 
 Request ops: ``ping``, ``submit``, ``status``, ``result``, ``cancel``,
 ``stream`` (the connection switches to a live feed of lifecycle events,
-one frame each, with optional replay from the beginning), ``metrics``
-(a Prometheus text scrape of the process registry — per-shard labeled
-families included), and ``stats`` (the merged fleet summary).
+one frame each, with optional replay from a sequence number still in
+the hub's window), ``metrics`` (a Prometheus text scrape of the process
+registry — per-shard labeled families included), and ``stats`` (the
+merged fleet summary).
+
+A ``result`` that returns a terminal outcome, or a ``cancel`` that
+returns ``cancelled``, *delivers* the job
+(:meth:`~repro.gateway.router.ShardRouter.deliver`): its shard keeps it
+addressable only inside the re-fetch window, then forgets it.
 
 Graceful drain: :meth:`shutdown` with ``drain=True`` flips the server
 into draining mode — every request on a *new* connection is refused with
@@ -29,6 +35,7 @@ import asyncio
 import json
 import threading
 import time
+from collections import deque
 
 from ..errors import (
     GatewayError,
@@ -36,7 +43,7 @@ from ..errors import (
     RetryLater,
     ServiceError,
 )
-from ..obs import get_metrics
+from ..obs import get_metrics, lifecycle
 from ..obs.prom import prometheus_text
 from .protocol import (
     MAX_LINE_BYTES,
@@ -79,12 +86,16 @@ class _EventHub:
     Lifecycle listeners fire on whatever thread emitted the event (pump
     thread, handler executor); the hub appends under a lock and stream
     handlers poll :meth:`since` — no cross-thread event-loop wakeups to
-    get wrong, at the cost of a few milliseconds of staleness.
+    get wrong, at the cost of a few milliseconds of staleness.  The hub
+    keeps the newest :data:`~repro.obs.lifecycle.EVENT_WINDOW` events;
+    sequence numbers stay absolute.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        self._events: deque[dict] = deque(maxlen=lifecycle.EVENT_WINDOW)
+        #: the sequence number the next event gets
+        self.next_seq = 0
 
     def attach(self, router: ShardRouter) -> None:
         for shard in router.shards.values():
@@ -94,16 +105,24 @@ class _EventHub:
 
     def _append(self, shard: str, event: dict) -> None:
         with self._lock:
-            self._events.append(
-                {"seq": len(self._events), "shard": shard, **event}
-            )
+            self._events.append({"seq": self.next_seq, "shard": shard, **event})
+            self.next_seq += 1
 
     def since(self, seq: int) -> list[dict]:
-        """Events with hub sequence >= ``seq`` (empty when caught up)."""
+        """Events with hub sequence >= ``seq`` (empty when caught up).
+
+        Raises ``STREAM_EXPIRED``, carrying ``oldest_seq``, when ``seq``
+        is older than the window."""
         with self._lock:
-            if seq >= len(self._events):
-                return []
-            return self._events[seq:]
+            oldest = self.next_seq - len(self._events)
+            if seq < oldest:
+                raise ProtocolError(
+                    "STREAM_EXPIRED",
+                    f"event {seq} is older than the stream window, which "
+                    f"starts at {oldest}",
+                    oldest_seq=oldest,
+                )
+            return [self._events[i] for i in range(seq - self.next_seq, 0)]
 
     def __len__(self) -> int:
         with self._lock:
@@ -430,7 +449,8 @@ class GatewayServer:
             )
         timeout_s = min(float(timeout_s), MAX_RESULT_WAIT_S)
         loop = asyncio.get_running_loop()
-        job = await loop.run_in_executor(None, self.router.job, job_id)
+        # the outcome this returns is delivered as soon as the job has ended
+        job = await loop.run_in_executor(None, self.router.deliver, job_id)
         if wait:
             deadline = time.monotonic() + timeout_s
             while not job.is_terminal:
@@ -444,7 +464,7 @@ class GatewayServer:
                 await asyncio.sleep(0.003)
                 #: failover may have re-homed the job mid-wait
                 job = await loop.run_in_executor(
-                    None, self.router.job, job_id
+                    None, self.router.deliver, job_id
                 )
         status = job.status.value
         if not job.is_terminal:
@@ -466,9 +486,14 @@ class GatewayServer:
     async def _cancel(self, request: dict) -> dict:
         job_id = self._job_ref(request)
         loop = asyncio.get_running_loop()
-        job = await loop.run_in_executor(
-            None, self.router.cancel, job_id
-        )
+
+        def _do_cancel():
+            job = self.router.cancel(job_id)
+            if job.is_terminal:  # cancelled while queued: delivered
+                self.router.deliver(job_id)
+            return job
+
+        job = await loop.run_in_executor(None, _do_cancel)
         return ok_response(
             None, job=job.job_id, status=job.status.value,
             cancel_requested=job.cancel_requested,
@@ -480,14 +505,18 @@ class GatewayServer:
         """Switch the connection to a live lifecycle feed.
 
         Sends an acknowledgement, then one frame per hub event starting
-        from ``from_seq`` (0 replays everything the server has seen).
-        Runs until the client disconnects or the server shuts down.
+        from ``from_seq`` (default: the next event).  Runs until the
+        client disconnects or the server shuts down.  A ``from_seq``
+        older than the hub's window is refused with ``STREAM_EXPIRED``
+        instead of the acknowledgement; a reader that falls behind the
+        window gets the same error frame, and its stream ends.
         """
-        from_seq = request.get("from_seq", len(self.hub))
+        from_seq = request.get("from_seq", self.hub.next_seq)
         if not isinstance(from_seq, int) or from_seq < 0:
             raise ProtocolError(
                 "BAD_ENVELOPE", "'from_seq' must be a non-negative integer"
             )
+        events = self.hub.since(from_seq)
         writer.write(
             encode_frame(
                 ok_response(
@@ -498,7 +527,6 @@ class GatewayServer:
         await writer.drain()
         seq = from_seq
         while not self._closed:
-            events = self.hub.since(seq)
             if events:
                 for event in events:
                     writer.write(
@@ -510,3 +538,4 @@ class GatewayServer:
                 await writer.drain()
             else:
                 await asyncio.sleep(0.01)
+            events = self.hub.since(seq)

@@ -14,6 +14,10 @@ the audit trail the CI ``slo-smoke`` job checks for *unaccounted* jobs —
 every submitted job must reach a terminal event, or the service silently
 lost work.
 
+The log keeps the newest :data:`EVENT_WINDOW` events, so a
+long-running server's log stays a fixed size; ``unaccounted()`` stays
+exact because it tracks open job ids, not events.
+
 A :class:`JobLifecycleLog` is thread-safe and supports **listeners**:
 callbacks invoked once per emitted event (outside the log's lock), which
 is how an :class:`~repro.obs.slo.SLOTracker` folds events as they happen
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 #: every lifecycle stage, in nominal order (rejected/requeued are
@@ -54,9 +59,13 @@ LIFECYCLE_STAGES = (
 #: stages after which a job emits no further events
 TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled", "quarantined"})
 
+#: events a log keeps, the newest ones; the gateway's event hub and a
+#: service's queue-metrics records keep the same window
+EVENT_WINDOW = 16_384
+
 
 class JobLifecycleLog:
-    """Thread-safe, append-only log of per-job lifecycle events.
+    """Thread-safe log of the newest :data:`EVENT_WINDOW` lifecycle events.
 
     Example::
 
@@ -71,10 +80,10 @@ class JobLifecycleLog:
     def __init__(self, clock=time.monotonic) -> None:
         self.clock = clock
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        self._events: deque[dict] = deque(maxlen=EVENT_WINDOW)
         self._listeners: list = []
-        self._submitted: set[str] = set()
-        self._terminal: set[str] = set()
+        #: ids submitted and not yet terminal (or rejected)
+        self._open: set[str] = set()
 
     # -- emission ------------------------------------------------------------
 
@@ -104,10 +113,10 @@ class JobLifecycleLog:
         with self._lock:
             self._events.append(event)
             if stage == "submitted":
-                self._submitted.add(job_id)
+                self._open.add(job_id)
             elif stage in TERMINAL_EVENTS or stage == "rejected":
                 # rejected jobs left the system at the edge: accounted for
-                self._terminal.add(job_id)
+                self._open.discard(job_id)
             listeners = list(self._listeners)
         for listener in listeners:  # outside the lock: listeners may log
             listener(event)
@@ -137,18 +146,17 @@ class JobLifecycleLog:
         the exact condition the ``slo-smoke`` CI job asserts against.
         """
         with self._lock:
-            return sorted(self._submitted - self._terminal)
+            return sorted(self._open)
 
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-            self._submitted.clear()
-            self._terminal.clear()
+            self._open.clear()
 
     # -- export --------------------------------------------------------------
 
     def write_jsonl(self, path) -> int:
-        """Write every event as one JSON object per line; returns count."""
+        """Write the kept events as one JSON object per line; returns count."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         events = self.events()

@@ -77,7 +77,8 @@ def rescue_queued(service, shard: str = "") -> list[RescuedJob]:
     """
     rescued: list[RescuedJob] = []
     for job in list(service.queue.jobs()):
-        service.queue.cancel(job.job_id)
+        # read the inputs first: the service drops them once the job is
+        # cancelled (terminal)
         rescued.append(
             RescuedJob(
                 job_id=job.job_id,
@@ -92,6 +93,7 @@ def rescue_queued(service, shard: str = "") -> list[RescuedJob]:
                 evidence=list(job.evidence),
             )
         )
+        service.queue.cancel(job.job_id)
     if rescued:
         get_resilience_log().record(
             "shard_failover",

@@ -105,10 +105,13 @@ class ServiceClient:
     def result(self, job_id: str) -> np.ndarray:
         """Block (drive the service) until done; the job's amplitudes.
 
+        Delivers the job (:meth:`BatchSimulationService.deliver`), so it
+        stays addressable only inside the service's re-fetch window.
         Raises :class:`ServiceError` when the job failed or was cancelled,
         carrying the per-job error message.
         """
-        job = self.wait(job_id)
+        self.wait(job_id)
+        job = self.service.deliver(job_id)
         if job.status is JobStatus.DONE:
             return job.result
         raise ServiceError(

@@ -121,7 +121,8 @@ class Job:
     (priority, optional deadline) with a validated state machine: every
     transition is checked against :class:`JobStatus` rules and appended
     to ``history`` with a timestamp, so a finished job is its own audit
-    trail.  Example::
+    trail.  A service drops ``batch`` when the job turns terminal;
+    ``num_inputs`` and ``num_qubits`` stay.  Example::
 
         job = make_job(0, circuit, batch, priority=5)
         assert job.status is JobStatus.PENDING
@@ -131,7 +132,12 @@ class Job:
     job_id: str
     seq: int
     circuit: Circuit
-    batch: InputBatch
+    #: the input states; ``None`` once the job is terminal (the service
+    #: drops them then, so a finished job holds only its result)
+    batch: InputBatch | None
+    #: input state vectors (mega-batch columns) this job contributes
+    num_inputs: int
+    num_qubits: int
     priority: int = 0
     deadline: float | None = None  # absolute service-clock time
     timeout_s: float | None = None  # execution deadline once dispatched
@@ -161,15 +167,6 @@ class Job:
     evidence: list[dict] = field(default_factory=list)
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def num_inputs(self) -> int:
-        """Input state vectors (mega-batch columns) this job contributes."""
-        return self.batch.batch_size
-
-    @property
-    def num_qubits(self) -> int:
-        return self.batch.num_qubits
 
     @property
     def is_terminal(self) -> bool:
@@ -291,6 +288,8 @@ def make_job(
         seq=seq,
         circuit=circuit,
         batch=batch,
+        num_inputs=batch.batch_size,
+        num_qubits=batch.num_qubits,
         priority=priority,
         deadline=deadline,
         timeout_s=timeout_s,

@@ -42,10 +42,19 @@ slept).  Once every slot is lost, :meth:`~ProcessWorkerPool.submit`
 raises so the service can fail queued work instead of waiting forever.
 Crash results carry ``result["crash"]``; the service turns that into
 redelivery or quarantine, and the pool itself stays policy-free.
+
+**The allocator.**  A serving process handles one multi-megabyte job
+after another: codec strings, decoded arrays, mega-blocks and result
+frames.  With glibc's default, dynamic thresholds, freed buffers of that
+size go back to the kernel and are faulted in again by the next job.
+:func:`pin_allocator` keeps them mapped.  ``repro gateway`` and each pool
+worker call it first thing; library runs do not, because there the
+same setting made warm and cold runs slower.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing as mp
 import os
@@ -85,6 +94,34 @@ _JOIN_TIMEOUT_S = 5.0
 #: plan-cache snapshot reported for a worker that died before its first
 #: result
 _EMPTY_PLAN_CACHE = {"hits": 0, "disk_hits": 0, "misses": 0, "quarantined": 0}
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``), and the value
+#: :func:`pin_allocator` gives both: glibc's largest mmap threshold
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_PINNED_THRESHOLD = 32 * 1024 * 1024
+
+
+def pin_allocator() -> bool:
+    """Keep freed heap buffers mapped in this process; True when glibc
+    accepted both settings.
+
+    Sets glibc's mmap and trim thresholds to 32 MiB.  Buffers below that
+    come from the heap, and freeing them no longer trims the heap, so the
+    next job reuses the pages instead of faulting them in again.  Both
+    must be set: setting either one turns off glibc's dynamic threshold
+    and leaves the other at its small default.  Does nothing, and
+    returns False, where ``mallopt`` does not exist.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap = mallopt(_M_MMAP_THRESHOLD, _PINNED_THRESHOLD)
+    trim = mallopt(_M_TRIM_THRESHOLD, _PINNED_THRESHOLD)
+    return bool(mmap and trim)
 
 
 def _task(
@@ -305,6 +342,7 @@ def _run_task(sim, wid: int, task: dict) -> dict:
 def _worker_main(wid: int, task_q, result_q, simulator_kwargs: dict) -> None:
     """Entry point of one pool worker process (module-level: spawn pickles
     it by qualified name)."""
+    pin_allocator()
     sim = BQSimSimulator(**simulator_kwargs)
     while True:
         task = task_q.get()

@@ -41,11 +41,22 @@ serve --queue-metrics`` writes as JSONL) and emits metrics — queue depth,
 wait time, coalesce factor, batch occupancy — plus ``service.*`` tracer
 spans, so Perfetto traces show request-level lanes above the modeled GPU
 engine lanes.
+
+**Bounded memory.**  A service's memory does not grow with the jobs it
+has served.  A job drops its inputs when it turns terminal.  Once its
+outcome has been *delivered* (:meth:`BatchSimulationService.deliver`) it
+stays addressable only inside a re-fetch window of
+:data:`REFETCH_JOBS` jobs and :data:`REFETCH_BYTES` of results, then
+the service forgets it.  Undelivered terminal jobs stay until they are
+delivered.  ``events`` and the lifecycle log keep their newest
+:data:`~repro.obs.lifecycle.EVENT_WINDOW` entries, and :meth:`stats`
+reads running totals instead of walking jobs or events.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 import numpy as np
 
@@ -54,8 +65,8 @@ from ..circuit.inputs import random_batch
 from ..ell.persist import plan_fingerprint
 from ..errors import AdmissionError, JobNotCancellable, ServiceError
 from ..gpu.spec import GpuSpec
-from ..obs import get_metrics, get_tracer
-from ..obs.lifecycle import JobLifecycleLog
+from ..obs import get_metrics, get_tracer, lifecycle
+from ..obs.lifecycle import TERMINAL_EVENTS, JobLifecycleLog
 from ..obs.slo import SLOTracker
 from ..resilience import get_resilience_log
 from ..sim.bqsim import BQSimSimulator
@@ -75,6 +86,11 @@ from .scheduler import FairScheduler, SchedulerPolicy
 #: redelivered until it has been handed to a worker this many times, then
 #: quarantined as poison
 DEFAULT_MAX_DELIVERIES = 3
+
+#: delivered jobs a service keeps addressable for a repeated status or
+#: result, and the result bytes they may hold (the newest always stays)
+REFETCH_JOBS = 64
+REFETCH_BYTES = 16 * 1024 * 1024
 
 
 class BatchSimulationService:
@@ -180,17 +196,32 @@ class BatchSimulationService:
             self.gpu, max_columns=max_columns, max_jobs=max_jobs_per_batch,
             lifecycle=self.lifecycle,
         )
-        #: every job ever admitted, by id (terminal jobs stay addressable)
+        #: admitted jobs by id: every job not yet delivered, plus the
+        #: delivered ones still in the re-fetch window
         self.jobs: dict[str, Job] = {}
+        #: the re-fetch window: delivered job id -> its result bytes,
+        #: oldest delivery first
+        self._delivered: dict[str, int] = {}
+        self._delivered_bytes = 0
         #: JSON-safe queue-metrics records, one per dispatch round/rejection
-        self.events: list[dict] = []
+        #: (the newest EVENT_WINDOW of them)
+        self.events: deque[dict] = deque(maxlen=lifecycle.EVENT_WINDOW)
         self._seq = 0
         self._completed = 0
         self._failed = 0
         self._degraded_groups = 0
         self._modeled_s = 0.0
+        #: modeled seconds of collected tasks that wait for an earlier
+        #: dispatched task, so the sum runs in dispatch order
+        self._landed: dict[int, float] = {}
         self._wall_s = 0.0
         self._inputs_done = 0
+        #: running totals of the megabatch records
+        self._megabatches = 0
+        self._factor_sum = 0
+        self._factor_max = 0
+        self._occupancy_sum = 0.0
+        self._wait_max = 0.0
         #: crash-safety accounting
         self._quarantined = 0
         self._cancelled_inflight = 0
@@ -199,6 +230,12 @@ class BatchSimulationService:
         self._pruned_gates = 0
         self._pruned_nodes = 0
         self._pruned_edges = 0
+        #: admitted approximate jobs, and their results
+        self._approx_jobs = 0
+        self._approx_done = 0
+        self._attained = 0
+        self._min_achieved: float | None = None
+        self.lifecycle.subscribe(self._on_lifecycle)
         self._draining = False
         self._closed = False
         #: per-slot pool restart counts already mirrored into lifecycle
@@ -319,6 +356,8 @@ class BatchSimulationService:
                 raise
         self._seq += 1
         self.jobs[job.job_id] = job
+        if job.fidelity < 1.0:
+            self._approx_jobs += 1
         return job
 
     def cancel(self, job_id: str) -> Job:
@@ -360,7 +399,37 @@ class BatchSimulationService:
         try:
             return self.jobs[job_id]
         except KeyError:
-            raise ServiceError(f"unknown job id {job_id!r}") from None
+            raise ServiceError(
+                f"unknown job id {job_id!r} (unknown or already delivered)"
+            ) from None
+
+    def deliver(self, job_id: str) -> Job:
+        """Record that a terminal job's outcome reached its client; returns
+        the job (one that has not ended is returned as it is).
+
+        The gateway's ``result`` and ``cancel`` ops and
+        :meth:`ServiceClient.result` call this.  A delivered job stays
+        addressable in a re-fetch window of the last :data:`REFETCH_JOBS`
+        delivered jobs holding at most :data:`REFETCH_BYTES` of results;
+        older ones are forgotten, and their ids become unknown.  The job
+        delivered last always stays, and a repeated delivery makes it the
+        newest again.  Raises :class:`ServiceError` for an unknown id.
+        """
+        job = self.job(job_id)
+        if not job.is_terminal:
+            return job
+        window = self._delivered
+        self._delivered_bytes -= window.pop(job_id, 0)
+        window[job_id] = job.result.nbytes if job.result is not None else 0
+        self._delivered_bytes += window[job_id]
+        while len(window) > 1 and (
+            len(window) > REFETCH_JOBS
+            or self._delivered_bytes > REFETCH_BYTES
+        ):
+            oldest = next(iter(window))
+            self._delivered_bytes -= window.pop(oldest)
+            del self.jobs[oldest]
+        return job
 
     # -- dispatch ------------------------------------------------------------
 
@@ -448,6 +517,7 @@ class BatchSimulationService:
                 if not job.is_terminal:
                     self._cancel_inflight(job, now)
         self._inflight.clear()
+        self._fold_modeled()
         # jobs parked in a non-terminal state outside the queue and the
         # inflight map: a KeyboardInterrupt that escaped a serial step
         # mid-run leaves its cohort RUNNING here
@@ -468,6 +538,35 @@ class BatchSimulationService:
         self.close()
 
     # -- execution -----------------------------------------------------------
+
+    def _on_lifecycle(self, event: dict) -> None:
+        """Close a job's books when it turns terminal.
+
+        Every terminal transition emits its lifecycle event: done, failed,
+        quarantined, and a cancel from the queue, in flight or at
+        shutdown.  So this listener is the one place that drops a job's
+        inputs and folds the approximate-tier totals :meth:`stats` reports.
+        Redelivery, checkpoint resume and failover read ``batch`` only
+        while a job is not terminal.
+        """
+        stage = event["event"]
+        if stage not in TERMINAL_EVENTS:
+            return
+        job = self.jobs.get(event["job"])
+        if job is None:
+            return
+        job.batch = None
+        if (
+            stage == "done"
+            and job.fidelity < 1.0
+            and job.achieved_fidelity is not None
+        ):
+            achieved = job.achieved_fidelity
+            self._approx_done += 1
+            if achieved >= job.fidelity:
+                self._attained += 1
+            if self._min_achieved is None or achieved < self._min_achieved:
+                self._min_achieved = achieved
 
     def _emit_terminal(
         self,
@@ -739,18 +838,43 @@ class BatchSimulationService:
                 modeled_s=None if degraded else raw["modeled_s"],
             )
         self._completed += done
-        self._modeled_s += raw["modeled_s"]
+        self._fold_modeled(raw["task_id"], raw["modeled_s"])
         if done:
             metrics.inc("service.completed", done)
         self._log_round(record, wall0)
         return len(group.jobs)
 
+    def _fold_modeled(
+        self, task_id: int | None = None, modeled_s: float = 0.0
+    ) -> None:
+        """Add collected tasks' modeled seconds in dispatch order.
+
+        A process pool returns tasks in completion order, and float
+        addition depends on order, so a task that lands before an earlier
+        dispatched one waits in ``_landed``.  ``_inflight`` keeps dispatch
+        order; a crashed or abandoned task adds nothing and blocks
+        nothing once it leaves ``_inflight``.
+        """
+        if task_id is not None:
+            self._landed[task_id] = modeled_s
+        oldest = next(iter(self._inflight), None)
+        for landed in sorted(self._landed):
+            if oldest is not None and landed > oldest:
+                break
+            self._modeled_s += self._landed.pop(landed)
+
     def _log_round(self, record: dict, wall0: float) -> None:
-        """Close one dispatch round's event record and book its wall time."""
+        """Close one dispatch round's event record, book its wall time and
+        fold it into the round totals :meth:`stats` reports."""
         metrics = get_metrics()
         record["wall_s"] = time.perf_counter() - wall0
         record["queue_depth"] = self.queue.depth()
         self._wall_s += record["wall_s"]
+        self._megabatches += 1
+        self._factor_sum += record["coalesce_factor"]
+        self._factor_max = max(self._factor_max, record["coalesce_factor"])
+        self._occupancy_sum += record["occupancy"]
+        self._wait_max = max(self._wait_max, record["wait_max_s"])
         metrics.inc("service.megabatches")
         metrics.gauge("service.queue_depth", self.queue.depth())
         self.events.append(record)
@@ -829,6 +953,7 @@ class BatchSimulationService:
                     reason=crash["kind"],
                 )
         record["redelivered"] = len(redeliver)
+        self._fold_modeled()
         self._log_round(record, wall0)
         return finished
 
@@ -836,10 +961,7 @@ class BatchSimulationService:
 
     def stats(self) -> dict:
         """JSON-safe service-level summary (the serve CLI prints this)."""
-        mega = [e for e in self.events if e["event"] == "megabatch"]
-        factors = [e["coalesce_factor"] for e in mega]
-        occupancy = [e["occupancy"] for e in mega]
-        waits = [e["wait_max_s"] for e in mega]
+        rounds = self._megabatches
         # before the first step, report what an idle executor would
         pool = self._pool or _Executor(self.num_workers)
         stats = {
@@ -847,21 +969,20 @@ class BatchSimulationService:
             "rejected": self.queue.rejected,
             "completed": self._completed,
             "failed": self._failed,
-            "cancelled": sum(
-                1 for j in self.jobs.values()
-                if j.status is JobStatus.CANCELLED
-            ),
+            "cancelled": self.slo.cancelled,
             "quarantined": self._quarantined,
             "requeued": self.queue.requeued_total,
             "cancelled_inflight": self._cancelled_inflight,
             "queue_depth": self.queue.depth(),
-            "megabatches": len(mega),
+            "megabatches": rounds,
             "degraded_groups": self._degraded_groups,
             "scheduler_rounds": self.scheduler.rounds,
-            "coalesce_factor_mean": float(np.mean(factors)) if factors else 0.0,
-            "coalesce_factor_max": max(factors, default=0),
-            "occupancy_mean": float(np.mean(occupancy)) if occupancy else 0.0,
-            "wait_max_s": max(waits, default=0.0),
+            "coalesce_factor_mean": (
+                self._factor_sum / rounds if rounds else 0.0
+            ),
+            "coalesce_factor_max": self._factor_max,
+            "occupancy_mean": self._occupancy_sum / rounds if rounds else 0.0,
+            "wait_max_s": self._wait_max,
             "inputs_done": self._inputs_done,
             "modeled_time_s": self._modeled_s,
             "wall_time_s": self._wall_s,
@@ -872,28 +993,16 @@ class BatchSimulationService:
             "workers": pool.worker_summaries(),
             "plan_cache": pool.plan_cache_totals(),
         }
-        approx_jobs = [
-            j for j in self.jobs.values() if j.fidelity < 1.0
-        ]
-        done_approx = [
-            j for j in approx_jobs
-            if j.status is JobStatus.DONE and j.achieved_fidelity is not None
-        ]
-        attained = [
-            j for j in done_approx if j.achieved_fidelity >= j.fidelity
-        ]
         stats["approx"] = {
-            "approx_jobs": len(approx_jobs),
-            "exact_jobs": len(self.jobs) - len(approx_jobs),
-            "approx_done": len(done_approx),
-            "attained": len(attained),
+            "approx_jobs": self._approx_jobs,
+            "exact_jobs": self.queue.admitted - self._approx_jobs,
+            "approx_done": self._approx_done,
+            "attained": self._attained,
             "attainment_rate": (
-                len(attained) / len(done_approx) if done_approx else 1.0
+                self._attained / self._approx_done
+                if self._approx_done else 1.0
             ),
-            "min_achieved_fidelity": (
-                min(j.achieved_fidelity for j in done_approx)
-                if done_approx else None
-            ),
+            "min_achieved_fidelity": self._min_achieved,
             "approx_megabatches": self._approx_runs,
             "pruned_gates": self._pruned_gates,
             "pruned_nodes": self._pruned_nodes,
@@ -907,7 +1016,7 @@ class BatchSimulationService:
         return stats
 
     def write_queue_metrics(self, path) -> int:
-        """Write the per-round event stream as JSONL; returns the count."""
+        """Write the kept per-round events as JSONL; returns the count."""
         import json
 
         with open(path, "w", encoding="utf-8") as fh:

@@ -444,6 +444,17 @@ BAD_INPUTS = {
     "slo-without-done": (
         ["status", "--stats", "{path}"], '{"slo": {"submitted": 1}}',
         "input: 'slo' block has no 'done' entry"),
+    "status-connect-nothing-listens": (
+        ["status", "--connect", "127.0.0.1:1"], None,
+        "cannot connect to 127.0.0.1:1"),
+    "submit-connect-nothing-listens": (
+        ["submit", "--family", "ghz", "-n", "3", "--connect", "127.0.0.1:1"],
+        None, "cannot connect to 127.0.0.1:1"),
+    "submit-connect-with-in-process-flags": (
+        ["submit", "--family", "ghz", "-n", "3", "--connect", "127.0.0.1:1",
+         "--workers", "3", "--parallelism", "process",
+         "--stats-json", "{path}"],
+        None, "does not take --stats-json, --workers, --parallelism"),
 }
 
 

@@ -376,3 +376,47 @@ class TestFailover:
             assert info["shard"] == "s1"
             assert "resubmitted_as" not in info
             assert info["status"] == "done"
+
+
+class TestDelivery:
+    def test_deliver_follows_failover_aliases(self):
+        router = ShardRouter(num_shards=1)
+        job, _ = router.submit(make_circuit("ghz", 3), num_inputs=1)
+        router._aliases["s0/job-old"] = job.job_id
+        router.drain()
+        assert router.deliver("s0/job-old") is job
+        router.close()
+
+    def test_concurrent_deliveries_keep_the_window_consistent(
+        self, monkeypatch
+    ):
+        """Handlers deliver from many threads at once; the shard lock
+        keeps the re-fetch window's job and byte counts exact."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.service import workers
+
+        monkeypatch.setattr(workers, "REFETCH_JOBS", 4)
+        router = ShardRouter(num_shards=1)
+        jobs = [
+            router.submit(make_circuit("ghz", 3), num_inputs=1 + i % 3)[0]
+            for i in range(96)
+        ]
+        router.drain()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                delivered = list(pool.map(
+                    router.deliver, [job.job_id for job in jobs], timeout=60
+                ))
+        finally:
+            sys.setswitchinterval(previous)
+        assert delivered == jobs
+        service = router.shards["s0"].service
+        assert len(service.jobs) == workers.REFETCH_JOBS
+        assert service._delivered_bytes == sum(
+            job.result.nbytes for job in service.jobs.values()
+        )
+        router.close()

@@ -26,8 +26,10 @@ from repro.circuit.generators import make_circuit
 from repro.circuit.inputs import random_batch
 from repro.gateway import GatewayClient, GatewayServer
 from repro.gateway.protocol import PROTOCOL_VERSION, ProtocolError
+from repro.gateway.server import _EventHub
+from repro.obs import lifecycle
 from repro.obs.prom import parse_prometheus_text
-from repro.service import BatchSimulationService
+from repro.service import BatchSimulationService, workers
 from repro.testing.chaos_pool import ChaosSchedule
 
 
@@ -319,3 +321,115 @@ class TestDraining:
         finally:
             client.close()
             harness.stop()
+
+
+class TestBoundedMemory:
+    """A server's memory does not grow with the jobs it has served: inputs
+    go at terminal, delivered jobs leave after the re-fetch window, and
+    every event store keeps a fixed window."""
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [
+            # round-robin placement, so both shards serve jobs
+            {"num_shards": 2, "routing": "random"},
+            {
+                "num_shards": 1,
+                "service_kwargs": {"parallelism": "process", "num_workers": 1},
+            },
+        ],
+        ids=["serial-shards", "process-shard"],
+    )
+    def test_a_server_forgets_delivered_jobs(self, monkeypatch, fleet):
+        monkeypatch.setattr(workers, "REFETCH_JOBS", 3)
+        monkeypatch.setattr(workers, "REFETCH_BYTES", 1024)
+        monkeypatch.setattr(lifecycle, "EVENT_WINDOW", 16)
+        jobs = 24
+        harness = ServerHarness(**fleet)
+        server = harness.server
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                job_ids, results = [], []
+                for i in range(jobs):  # 256, 512 or 768 result bytes
+                    job_ids.append(
+                        client.submit(
+                            family="ghz", num_qubits=4, num_inputs=1 + i % 3
+                        )
+                    )
+                    results.append(client.result(job_ids[-1]))
+                stats = client.stats()
+                assert stats["completed"] == jobs
+                assert stats["slo"]["unaccounted_jobs"] == 0
+                for shard in server.router.shards.values():
+                    service = shard.service
+                    held = [job.result.nbytes for job in service.jobs.values()]
+                    assert len(held) <= workers.REFETCH_JOBS
+                    assert sum(held) <= workers.REFETCH_BYTES + max(held)
+                    assert all(
+                        job.batch is None for job in service.jobs.values()
+                    )
+                    assert len(service.lifecycle) <= lifecycle.EVENT_WINDOW
+                    assert len(service.events) <= lifecycle.EVENT_WINDOW
+                assert len(server.hub) <= lifecycle.EVENT_WINDOW
+                for ask in (client.status, client.result):
+                    with pytest.raises(ProtocolError) as err:
+                        ask(job_ids[0])
+                    assert err.value.code == "UNKNOWN_JOB"
+                    assert "already delivered" in str(err.value)
+                assert np.array_equal(client.result(job_ids[-1]), results[-1])
+                assert client.status(job_ids[-1])["status"] == "done"
+            with GatewayClient("127.0.0.1", harness.port) as streamer:
+                with pytest.raises(ProtocolError) as err:
+                    streamer.stream_events(from_seq=0, timeout_s=2.0)
+            assert err.value.code == "STREAM_EXPIRED"
+            assert err.value.extra["oldest_seq"] == (
+                server.hub.next_seq - len(server.hub)
+            ) > 0
+        finally:
+            harness.stop()
+
+    def test_undelivered_results_stay(self, monkeypatch):
+        """Only a delivery starts a job's way out: a finished job no one
+        collected stays addressable past any number of deliveries."""
+        monkeypatch.setattr(workers, "REFETCH_JOBS", 1)
+        harness = ServerHarness(num_shards=1)
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                kept = client.submit(family="ghz", num_qubits=3)
+                for _ in range(3):
+                    client.result(client.submit(family="ghz", num_qubits=3))
+                assert client.status(kept)["status"] == "done"
+                assert client.result(kept).shape == (8, 1)
+        finally:
+            harness.stop()
+
+    def test_a_cancel_that_returns_cancelled_delivers(self, monkeypatch):
+        monkeypatch.setattr(workers, "REFETCH_JOBS", 1)
+        harness = ServerHarness(num_shards=1)
+        harness.server._stop.set()  # no pump: submitted jobs stay queued
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                first, second = (
+                    client.submit(family="ghz", num_qubits=3) for _ in "ab"
+                )
+                assert client.cancel(first)["status"] == "cancelled"
+                assert client.status(first)["status"] == "cancelled"
+                assert client.cancel(second)["status"] == "cancelled"
+                with pytest.raises(ProtocolError) as err:
+                    client.status(first)
+                assert err.value.code == "UNKNOWN_JOB"
+        finally:
+            harness.stop()
+
+    def test_hub_sequence_numbers_stay_absolute(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "EVENT_WINDOW", 4)
+        hub = _EventHub()
+        for i in range(10):
+            hub._append("s0", {"event": "submitted", "job": f"j{i}"})
+        assert len(hub) == 4 and hub.next_seq == 10
+        assert [e["seq"] for e in hub.since(7)] == [7, 8, 9]
+        assert hub.since(10) == []
+        with pytest.raises(ProtocolError) as err:
+            hub.since(5)
+        assert err.value.code == "STREAM_EXPIRED"
+        assert err.value.extra["oldest_seq"] == 6

@@ -233,9 +233,9 @@ def test_mega_batch_packing_pads_and_slices_under_budget():
     service = make_service(gpu=gpu, max_depth=32)
     # a 12-column job exceeds the budget alone: packed as 2 slices of 8
     # with 4 pad columns; the 3-column job cannot join (12 + 3 > budget)
+    batches = [random_batch(6, k, k) for k in (12, 3)]
     jobs = [
-        service.submit(make_circuit("qft", 6), random_batch(6, k, k))
-        for k in (12, 3)
+        service.submit(make_circuit("qft", 6), batch) for batch in batches
     ]
     solo = BQSimSimulator()
     service.drain()
@@ -246,9 +246,9 @@ def test_mega_batch_packing_pads_and_slices_under_budget():
     padded = [e for e in mega if e["pad"] > 0]
     assert padded, "uneven totals must exercise the padding path"
     # slicing + padding must stay bit-identical to the solo run
-    for job in jobs:
+    for job, batch in zip(jobs, batches):
         reference = solo.run(
-            job.circuit, BatchSpec(1, job.num_inputs), batches=[job.batch]
+            job.circuit, BatchSpec(1, job.num_inputs), batches=[batch]
         ).outputs[0]
         assert np.array_equal(job.result, reference)
 
@@ -274,10 +274,11 @@ def test_coalesced_outputs_bit_identical_to_solo(seed):
     rng = np.random.default_rng(seed)
     families = ["qft", "ghz", "vqe"]
     service = make_service(num_workers=2, max_depth=64)
-    jobs = []
+    jobs, batches = [], []
     for i in range(9):
         family = families[int(rng.integers(len(families)))]
         batch = random_batch(5, int(rng.integers(1, 6)), int(rng.integers(1000)))
+        batches.append(batch)
         jobs.append(
             service.submit(
                 make_circuit(family, 5),
@@ -288,12 +289,12 @@ def test_coalesced_outputs_bit_identical_to_solo(seed):
     service.drain()
     solo = BQSimSimulator()
     coalesced = 0
-    for job in jobs:
+    for job, batch in zip(jobs, batches):
         assert job.status is JobStatus.DONE
         reference = solo.run(
             job.circuit,
             BatchSpec(num_batches=1, batch_size=job.num_inputs),
-            batches=[job.batch],
+            batches=[batch],
         ).outputs[0]
         assert np.array_equal(job.result, reference), (
             f"{job.job_id} ({job.circuit.name}) diverged from solo execution"
@@ -313,9 +314,9 @@ def test_bit_identical_even_when_budget_forces_padding():
     ]
     service.drain()
     solo = BQSimSimulator()
-    for job in jobs:
+    for job, batch in zip(jobs, batches):
         reference = solo.run(
-            job.circuit, BatchSpec(1, job.num_inputs), batches=[job.batch]
+            job.circuit, BatchSpec(1, job.num_inputs), batches=[batch]
         ).outputs[0]
         assert np.array_equal(job.result, reference)
 
@@ -327,7 +328,8 @@ def test_bit_identical_even_when_budget_forces_padding():
 def test_poisoned_job_fails_alone_after_degradation():
     service = make_service(simulator_kwargs={"health": "fail"})
     circuit = make_circuit("qft", 5)
-    good_a = service.submit(circuit, random_batch(5, 2, 1))
+    batch_a = random_batch(5, 2, 1)
+    good_a = service.submit(circuit, batch_a)
     poison = service.submit(
         circuit, InputBatch(np.full((32, 2), np.nan, dtype=np.complex128))
     )
@@ -343,7 +345,7 @@ def test_poisoned_job_fails_alone_after_degradation():
     # solo outputs are still bit-identical to a standalone run
     solo = BQSimSimulator(health="fail")
     reference = solo.run(
-        circuit, BatchSpec(1, 2), batches=[good_a.batch]
+        circuit, BatchSpec(1, 2), batches=[batch_a]
     ).outputs[0]
     assert np.array_equal(good_a.result, reference)
 
@@ -508,3 +510,129 @@ def test_cancel_through_service():
     assert job.status is JobStatus.CANCELLED
     assert service.step() == 0  # nothing left to dispatch
     assert service.stats()["cancelled"] == 1
+
+
+# ---------------------------------------------------------------------------
+# bounded memory: inputs end with the job, results after delivery
+# ---------------------------------------------------------------------------
+
+def test_terminal_jobs_drop_their_inputs_on_every_path():
+    """done, failed, a queue cancel, a shutdown cancel and quarantine each
+    release the job's input states; describe() reports the same shape."""
+    from repro.testing import ChaosSchedule
+
+    circuit = make_circuit("qft", 4)
+    jobs = {}
+    serial = make_service(simulator_kwargs={"health": "fail"})
+    jobs["done"] = serial.submit(circuit, random_batch(4, 3, 1))
+    jobs["failed"] = serial.submit(
+        make_circuit("ghz", 4),
+        InputBatch(np.full((16, 2), np.nan, dtype=np.complex128)),
+    )
+    described = {path: job.describe() for path, job in jobs.items()}
+    serial.drain()
+    jobs["queue cancel"] = serial.submit(circuit, random_batch(4, 2, 2))
+    jobs["shutdown cancel"] = serial.submit(circuit, random_batch(4, 1, 3))
+    described.update(
+        (path, jobs[path].describe())
+        for path in ("queue cancel", "shutdown cancel")
+    )
+    serial.cancel(jobs["queue cancel"].job_id)
+    serial.close()
+    pool = BatchSimulationService(
+        parallelism="process",
+        chaos=ChaosSchedule.parse("kill=1"),
+        max_deliveries=1,
+    )
+    try:
+        jobs["quarantined"] = pool.submit(circuit, random_batch(4, 2, 4))
+        described["quarantined"] = jobs["quarantined"].describe()
+        pool.drain()
+    finally:
+        pool.close()
+    expected = {
+        "done": JobStatus.DONE,
+        "failed": JobStatus.FAILED,
+        "queue cancel": JobStatus.CANCELLED,
+        "shutdown cancel": JobStatus.CANCELLED,
+        "quarantined": JobStatus.QUARANTINED,
+    }
+    for path, job in jobs.items():
+        assert job.status is expected[path], path
+        assert job.batch is None, path
+        after = job.describe()
+        assert set(after) == set(described[path]), path
+        for key in ("job_id", "circuit", "num_qubits", "num_inputs"):
+            assert after[key] == described[path][key], (path, key)
+
+
+def test_delivered_jobs_leave_after_the_refetch_window(monkeypatch):
+    from repro.service import workers
+
+    monkeypatch.setattr(workers, "REFETCH_JOBS", 2)
+    client = ServiceClient(clock=ManualClock(), max_jobs_per_batch=1)
+    circuit = make_circuit("ghz", 3)
+    delivered = [client.submit(circuit, num_inputs=1) for _ in range(4)]
+    kept = client.submit(circuit, num_inputs=1)  # never delivered
+    results = [client.result(job_id) for job_id in delivered]
+    with pytest.raises(ServiceError, match="unknown job id .*already delivered"):
+        client.status(delivered[0])
+    assert client.status(delivered[-2]) is JobStatus.DONE
+    assert np.array_equal(client.result(delivered[-1]), results[-1])
+    client.service.drain()
+    assert client.status(kept) is JobStatus.DONE
+    assert client.stats()["completed"] == 5
+    # the byte bound: the newest delivery stays even when it alone is over
+    monkeypatch.setattr(workers, "REFETCH_BYTES", 1)
+    client.result(kept)
+    assert set(client.service.jobs) == {kept}
+
+
+class _OutOfOrderPool:
+    """A pool whose tasks end with the given modeled times and come back
+    newest first, as a process pool may return them."""
+
+    def __init__(self, modeled, reverse):
+        self.modeled, self.reverse = modeled, reverse
+        self.held = []
+        self.num_workers = len(modeled)
+
+    idle_workers = property(lambda self: self.num_workers - len(self.held))
+    alive_workers = property(lambda self: self.num_workers)
+
+    def submit(self, circuit, spec, mega, total_columns, job_columns, **_):
+        task_id = len(self.held) + 1
+        self.held.append({
+            "task_id": task_id, "wid": 0, "degraded": False,
+            "per_job": [{"ok": True}] * len(job_columns),
+            "outputs": mega[:, :total_columns],
+            "modeled_s": self.modeled[task_id - 1],
+        })
+        return task_id, 0
+
+    def poll(self, block=False, timeout=60.0):
+        held, self.held = self.held, []
+        return held[::-1] if self.reverse else held
+
+    def worker_summaries(self):
+        return []
+
+    def plan_cache_totals(self):
+        return {}
+
+
+def test_modeled_time_sums_in_dispatch_order():
+    """Task times fold in dispatch order: results collected in another
+    order give a bit-identical modeled_time_s."""
+
+    def modeled_time(reverse):
+        service = make_service(max_jobs_per_batch=1)
+        service._pool = _OutOfOrderPool([0.1, 0.2, 0.3], reverse)
+        for seed in range(3):
+            service.submit(make_circuit("ghz", 3), random_batch(3, 1, seed))
+        service.drain()
+        return service.stats()["modeled_time_s"]
+
+    assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3  # the order shows
+    assert modeled_time(reverse=True) == modeled_time(reverse=False)
+    assert modeled_time(reverse=True) == (0.1 + 0.2) + 0.3

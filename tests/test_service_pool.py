@@ -103,8 +103,9 @@ def test_poisoned_job_fails_alone_inside_its_worker():
         simulator_kwargs={"health": "fail"},
     )
     circuit = make_circuit("qft", 5)
+    batch_a = random_batch(5, 2, 1)
     try:
-        good_a = service.submit(circuit, random_batch(5, 2, 1))
+        good_a = service.submit(circuit, batch_a)
         poison = service.submit(
             circuit, InputBatch(np.full((32, 2), np.nan, dtype=np.complex128))
         )
@@ -123,7 +124,7 @@ def test_poisoned_job_fails_alone_inside_its_worker():
     # the isolated re-runs are still bit-identical to a standalone run
     solo = BQSimSimulator(health="fail")
     reference = solo.run(
-        circuit, BatchSpec(1, 2), batches=[good_a.batch]
+        circuit, BatchSpec(1, 2), batches=[batch_a]
     ).outputs[0]
     assert np.array_equal(good_a.result, reference)
 
@@ -343,3 +344,27 @@ def test_pool_spans_carry_job_ids_for_correlation():
         assert all(
             s.thread != worker_hits[0].thread for s in parent_hits
         )  # genuinely cross-process tracks
+
+
+def test_pin_allocator_takes_on_glibc():
+    """Both mallopt thresholds take on a glibc host.  Runs in a child
+    process: pinning is for serving processes, not this test runner."""
+    import os
+    import platform
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt thresholds are a glibc feature")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.service.pool import pin_allocator; print(pin_allocator())"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"

@@ -316,16 +316,18 @@ class ShardRouter:
             return shard.service.job(current)
 
     def deliver(self, job_id: str):
-        """The job behind a public id, like :meth:`job`, marked delivered
-        on its current shard once it has ended (see
+        """:meth:`job`, and the job marked delivered on its current shard
+        once it has ended (see
         :meth:`~repro.service.workers.BatchSimulationService.deliver`).
         One shard-lock hold does both, so a handler never waits out a
         second step, and the job it returns keeps its result through
         another connection's eviction while the caller encodes it."""
         current = self.resolve(job_id)
         shard = self._shard_of(current)
-        with shard.lock:
-            return shard.service.deliver(current)
+        with shard.lock:  # job() re-enters this hold
+            job = self.job(current)
+            shard.service.deliver(current)
+        return job
 
     def describe(self, job_id: str) -> dict:
         """JSON-safe job status, stamped with its (current) shard."""

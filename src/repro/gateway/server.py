@@ -32,6 +32,7 @@ what they are owed; only ``submit`` and ``stream`` are refused.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import threading
 import time
@@ -122,7 +123,9 @@ class _EventHub:
                     f"starts at {oldest}",
                     oldest_seq=oldest,
                 )
-            return [self._events[i] for i in range(seq - self.next_seq, 0)]
+            return list(itertools.islice(
+                self._events, len(self._events) - (self.next_seq - seq), None
+            ))
 
     def __len__(self) -> int:
         with self._lock:

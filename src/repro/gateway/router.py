@@ -316,18 +316,23 @@ class ShardRouter:
             return shard.service.job(current)
 
     def deliver(self, job_id: str):
-        """:meth:`job`, and the job marked delivered on its current shard
-        once it has ended (see
-        :meth:`~repro.service.workers.BatchSimulationService.deliver`).
+        """``(job, status)``: :meth:`job`, and the status
+        :meth:`~repro.service.workers.BatchSimulationService.deliver` saw
+        on the job's current shard, which marked the job delivered when
+        that status is terminal.
+
         One shard-lock hold does both, so a handler never waits out a
         second step, and the job it returns keeps its result through
-        another connection's eviction while the caller encodes it."""
+        another connection's eviction while the caller encodes it.  The
+        caller replies from ``status``: the pump may end the job as soon
+        as the lock is released, and a job it ended then has not been
+        delivered."""
         current = self.resolve(job_id)
         shard = self._shard_of(current)
         with shard.lock:  # job() re-enters this hold
             job = self.job(current)
-            shard.service.deliver(current)
-        return job
+            status = shard.service.deliver(current)
+        return job, status
 
     def describe(self, job_id: str) -> dict:
         """JSON-safe job status, stamped with its (current) shard."""

@@ -46,6 +46,7 @@ from ..errors import (
 )
 from ..obs import get_metrics, lifecycle
 from ..obs.prom import prometheus_text
+from ..service.jobs import TERMINAL_STATES, JobStatus
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -452,37 +453,39 @@ class GatewayServer:
             )
         timeout_s = min(float(timeout_s), MAX_RESULT_WAIT_S)
         loop = asyncio.get_running_loop()
-        # the outcome this returns is delivered as soon as the job has ended
-        job = await loop.run_in_executor(None, self.router.deliver, job_id)
+        # replies follow the status deliver saw: a terminal one is the
+        # outcome this call delivers (see ShardRouter.deliver)
+        job, status = await loop.run_in_executor(
+            None, self.router.deliver, job_id
+        )
         if wait:
             deadline = time.monotonic() + timeout_s
-            while not job.is_terminal:
+            while status not in TERMINAL_STATES:
                 if time.monotonic() >= deadline:
                     raise ProtocolError(
                         "TIMEOUT",
-                        f"job {job_id} still {job.status.value} after "
+                        f"job {job_id} still {status.value} after "
                         f"{timeout_s:g}s",
-                        status=job.status.value,
+                        status=status.value,
                     )
                 await asyncio.sleep(0.003)
                 #: failover may have re-homed the job mid-wait
-                job = await loop.run_in_executor(
+                job, status = await loop.run_in_executor(
                     None, self.router.deliver, job_id
                 )
-        status = job.status.value
-        if not job.is_terminal:
-            return ok_response(None, status=status, result=None)
-        if status == "done":
+        if status not in TERMINAL_STATES:
+            return ok_response(None, status=status.value, result=None)
+        if status is JobStatus.DONE:
             return ok_response(
-                None, status=status, result=encode_array(job.result),
+                None, status=status.value, result=encode_array(job.result),
                 job_id=job.job_id,
                 fidelity=job.fidelity,
                 achieved_fidelity=job.achieved_fidelity,
             )
         raise ProtocolError(
             "JOB_FAILED",
-            job.error or f"job {job_id} ended {status}",
-            status=status,
+            job.error or f"job {job_id} ended {status.value}",
+            status=status.value,
             evidence=job.evidence,
         )
 
@@ -491,14 +494,13 @@ class GatewayServer:
         loop = asyncio.get_running_loop()
 
         def _do_cancel():
-            job = self.router.cancel(job_id)
-            if job.is_terminal:  # cancelled while queued: delivered
-                self.router.deliver(job_id)
-            return job
+            self.router.cancel(job_id)
+            # a job cancelled while queued has ended: this reply delivers it
+            return self.router.deliver(job_id)
 
-        job = await loop.run_in_executor(None, _do_cancel)
+        job, status = await loop.run_in_executor(None, _do_cancel)
         return ok_response(
-            None, job=job.job_id, status=job.status.value,
+            None, job=job.job_id, status=status.value,
             cancel_requested=job.cancel_requested,
         )
 

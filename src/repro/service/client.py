@@ -110,9 +110,8 @@ class ServiceClient:
         Raises :class:`ServiceError` when the job failed or was cancelled,
         carrying the per-job error message.
         """
-        self.wait(job_id)
-        job = self.service.deliver(job_id)
-        if job.status is JobStatus.DONE:
+        job = self.wait(job_id)
+        if self.service.deliver(job_id) is JobStatus.DONE:
             return job.result
         raise ServiceError(
             f"job {job_id} finished {job.status.value}"

@@ -71,7 +71,7 @@ from ..obs.slo import SLOTracker
 from ..resilience import get_resilience_log
 from ..sim.bqsim import BQSimSimulator
 from .coalesce import DEFAULT_MAX_COLUMNS, CoalescedGroup, Coalescer
-from .jobs import Job, JobStatus, make_job
+from .jobs import TERMINAL_STATES, Job, JobStatus, make_job
 from .pool import (
     DEFAULT_MAX_RESTARTS,
     DEFAULT_SHM_THRESHOLD,
@@ -403,9 +403,14 @@ class BatchSimulationService:
                 f"unknown job id {job_id!r} (unknown or already delivered)"
             ) from None
 
-    def deliver(self, job_id: str) -> Job:
+    def deliver(self, job_id: str) -> JobStatus:
         """Record that a terminal job's outcome reached its client; returns
-        the job (one that has not ended is returned as it is).
+        the job's status as this call saw it.
+
+        A terminal status means the outcome now counts as delivered; any
+        other means nothing was recorded.  A caller sends what this
+        status says, not what a later read of ``job.status`` says: a step
+        in between may end the job without it being delivered.
 
         The gateway's ``result`` and ``cancel`` ops and
         :meth:`ServiceClient.result` call this.  A delivered job stays
@@ -416,8 +421,9 @@ class BatchSimulationService:
         newest again.  Raises :class:`ServiceError` for an unknown id.
         """
         job = self.job(job_id)
-        if not job.is_terminal:
-            return job
+        status = job.status
+        if status not in TERMINAL_STATES:
+            return status
         window = self._delivered
         self._delivered_bytes -= window.pop(job_id, 0)
         window[job_id] = job.result.nbytes if job.result is not None else 0
@@ -429,7 +435,7 @@ class BatchSimulationService:
             oldest = next(iter(window))
             self._delivered_bytes -= window.pop(oldest)
             del self.jobs[oldest]
-        return job
+        return status
 
     # -- dispatch ------------------------------------------------------------
 

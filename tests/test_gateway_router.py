@@ -20,6 +20,7 @@ from repro.circuit.inputs import random_batch
 from repro.errors import GatewayError, RetryLater
 from repro.gateway.quotas import TenantQuotas, TokenBucket
 from repro.gateway.router import HashRing, ShardRouter
+from repro.service.jobs import JobStatus
 from repro.testing.chaos_pool import ChaosSchedule
 
 
@@ -384,7 +385,7 @@ class TestDelivery:
         job, _ = router.submit(make_circuit("ghz", 3), num_inputs=1)
         router._aliases["s0/job-old"] = job.job_id
         router.drain()
-        assert router.deliver("s0/job-old") is job
+        assert router.deliver("s0/job-old") == (job, JobStatus.DONE)
         router.close()
 
     def test_concurrent_deliveries_keep_the_window_consistent(
@@ -413,7 +414,7 @@ class TestDelivery:
                 ))
         finally:
             sys.setswitchinterval(previous)
-        assert delivered == jobs
+        assert delivered == [(job, JobStatus.DONE) for job in jobs]
         service = router.shards["s0"].service
         assert len(service.jobs) == workers.REFETCH_JOBS
         assert service._delivered_bytes == sum(

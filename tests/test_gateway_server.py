@@ -388,6 +388,29 @@ class TestBoundedMemory:
         finally:
             harness.stop()
 
+    def test_a_job_that_ends_during_a_poll_is_delivered(self, monkeypatch):
+        """The pump may end a job right after ``deliver`` looked at it.
+        The reply follows what ``deliver`` saw, so a result never leaves
+        the server without its delivery being recorded."""
+        harness = ServerHarness(num_shards=1)
+        harness.server._stop.set()  # no pump: the job ends inside deliver
+        service = harness.server.router.shards["s0"].service
+        look = service.deliver
+
+        def look_then_end(job_id):
+            status = look(job_id)
+            service.drain()
+            return status
+
+        monkeypatch.setattr(service, "deliver", look_then_end)
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                job_id = client.submit(family="ghz", num_qubits=3)
+                assert client.result(job_id).shape == (8, 1)
+            assert job_id in service._delivered
+        finally:
+            harness.stop()
+
     def test_undelivered_results_stay(self, monkeypatch):
         """Only a delivery starts a job's way out: a finished job no one
         collected stays addressable past any number of deliveries."""

@@ -458,6 +458,26 @@ _IN_PROCESS_ONLY = (
 )
 
 
+def _await_end(client, job_id: str, timeout_s: float = 60.0) -> dict:
+    """Poll a gateway's ``status``, which delivers nothing, until the job
+    has ended; its final status, or a one-line refusal after
+    ``timeout_s`` (the ``result`` op's default wait)."""
+    import time
+
+    from .service.jobs import TERMINAL_STATES, JobStatus
+
+    deadline = time.monotonic() + timeout_s
+    while True:
+        info = client.status(job_id)
+        if JobStatus(info["status"]) in TERMINAL_STATES:
+            return info
+        if time.monotonic() >= deadline:
+            raise SystemExit(
+                f"job {job_id} still {info['status']} after {timeout_s:g}s"
+            )
+        time.sleep(0.005)
+
+
 def cmd_submit(args) -> int:
     """Submit one job and wait for it: to a fresh in-process service, or
     with ``--connect`` over TCP to a running gateway.
@@ -502,11 +522,14 @@ def cmd_submit(args) -> int:
         )
         print(f"submitted : {job_id} ({circuit.name}, {args.inputs} "
               f"input(s), priority {args.priority}{via})")
-        amplitudes = client.result(job_id)
         if args.connect:
-            info = client.status(job_id)
+            # the result call delivers the job, after which the gateway
+            # may forget it: read the final status first
+            info = _await_end(client, job_id)
+            amplitudes = client.result(job_id)
             shard = f"shard {info['shard']}, "
         else:
+            amplitudes = client.result(job_id)
             info, shard = client.service.job(job_id).describe(), ""
         print(f"status    : {info['status']} ({shard}group "
               f"{info['group_key']}, attempts {info['attempts']})")

@@ -402,6 +402,35 @@ def test_submit_and_status_over_tcp(capsys):
         harness.stop()
 
 
+def test_submit_over_tcp_reads_the_status_before_delivery(
+    monkeypatch, capsys
+):
+    """``result`` delivers the job, and the gateway may forget it right
+    after (here the next delivery evicts it), so ``submit --connect``
+    reads the job's final status before it collects the result."""
+    from repro.gateway import GatewayClient
+    from repro.service import workers
+    from tests.test_gateway_server import ServerHarness
+
+    monkeypatch.setattr(workers, "REFETCH_JOBS", 1)
+    collect = GatewayClient.result
+
+    def collect_then_evict(self, job_id, *args, **kwargs):
+        amplitudes = collect(self, job_id, *args, **kwargs)
+        collect(self, self.submit(family="ghz", num_qubits=3))
+        return amplitudes
+
+    monkeypatch.setattr(GatewayClient, "result", collect_then_evict)
+    harness = ServerHarness(num_shards=1)
+    try:
+        rc = main(["submit", "--family", "ghz", "-n", "5",
+                   "--connect", f"127.0.0.1:{harness.port}"])
+        assert rc == 0
+        assert "status    : done (shard s0" in capsys.readouterr().out
+    finally:
+        harness.stop()
+
+
 def test_serve_rejects_an_unknown_family_at_parse_time(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--families", "qft,nosuch"])

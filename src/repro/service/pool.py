@@ -47,9 +47,10 @@ redelivery or quarantine, and the pool itself stays policy-free.
 after another: codec strings, decoded arrays, mega-blocks and result
 frames.  With glibc's default, dynamic thresholds, freed buffers of that
 size go back to the kernel and are faulted in again by the next job.
-:func:`pin_allocator` keeps them mapped.  ``repro gateway`` and each pool
-worker call it first thing; library runs do not, because there the
-same setting made warm and cold runs slower.
+:func:`pin_allocator` keeps them mapped.  ``repro gateway`` calls it
+first thing, and a pool worker pins only when the process that spawned
+it had pinned.  Library runs, their process pools included, do not pin,
+because there the same setting made warm and cold runs slower.
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _PINNED_THRESHOLD = 32 * 1024 * 1024
 
+#: whether :func:`pin_allocator` took effect in this process; the pool
+#: hands it to each worker it spawns
+_pinned = False
+
 
 def pin_allocator() -> bool:
     """Keep freed heap buffers mapped in this process; True when glibc
@@ -113,6 +118,7 @@ def pin_allocator() -> bool:
     and leaves the other at its small default.  Does nothing, and
     returns False, where ``mallopt`` does not exist.
     """
+    global _pinned
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -121,7 +127,8 @@ def pin_allocator() -> bool:
     mallopt.restype = ctypes.c_int
     mmap = mallopt(_M_MMAP_THRESHOLD, _PINNED_THRESHOLD)
     trim = mallopt(_M_TRIM_THRESHOLD, _PINNED_THRESHOLD)
-    return bool(mmap and trim)
+    _pinned = bool(mmap and trim)
+    return _pinned
 
 
 def _task(
@@ -339,10 +346,14 @@ def _run_task(sim, wid: int, task: dict) -> dict:
     }
 
 
-def _worker_main(wid: int, task_q, result_q, simulator_kwargs: dict) -> None:
+def _worker_main(
+    wid: int, task_q, result_q, simulator_kwargs: dict, pin: bool
+) -> None:
     """Entry point of one pool worker process (module-level: spawn pickles
-    it by qualified name)."""
-    pin_allocator()
+    it by qualified name).  ``pin``: the spawning process had pinned its
+    allocator (see :func:`pin_allocator`)."""
+    if pin:
+        pin_allocator()
     sim = BQSimSimulator(**simulator_kwargs)
     while True:
         task = task_q.get()
@@ -490,7 +501,9 @@ class ProcessWorkerPool(_Executor):
         generation = self._worker_restarts[wid]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, self._result_q, self.simulator_kwargs),
+            args=(
+                wid, task_q, self._result_q, self.simulator_kwargs, _pinned
+            ),
             name=f"repro-pool-{wid}"
             + (f"-r{generation}" if generation else ""),
             daemon=True,

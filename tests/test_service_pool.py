@@ -368,3 +368,28 @@ def test_pin_allocator_takes_on_glibc():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "True"
+
+
+def test_pool_workers_pin_only_when_their_parent_did(monkeypatch, tmp_path):
+    """A library pool's workers keep glibc's defaults; the pool of a
+    process that pinned (``repro gateway``) pins its workers too."""
+    from types import SimpleNamespace
+
+    from repro.service import pool as pool_module
+
+    spawned = []
+
+    class _Context:  # records each worker's spawn arguments
+        def Queue(self):
+            return SimpleNamespace(close=lambda: None)
+
+        def Process(self, target, args, name, daemon):
+            spawned.append(args[-1])
+            return SimpleNamespace(start=lambda: None)
+
+    pool = ProcessWorkerPool(num_workers=1, cache_dir=str(tmp_path))
+    pool._ctx = _Context()
+    for pinned in (False, True):
+        monkeypatch.setattr(pool_module, "_pinned", pinned)
+        pool._spawn(0)
+    assert spawned == [False, True]

@@ -102,8 +102,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _PINNED_THRESHOLD = 32 * 1024 * 1024
 
-#: whether :func:`pin_allocator` took effect in this process; the pool
-#: hands it to each worker it spawns
+#: whether :func:`pin_allocator` took effect in this process (module
+#: state, because glibc's thresholds are process-wide); the pool hands it
+#: to each worker it spawns
 _pinned = False
 
 

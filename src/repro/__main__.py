@@ -87,9 +87,6 @@ def _add_service_args(parser, max_depth: int) -> None:
     parser.add_argument("--max-depth", type=int, default=max_depth,
                         help="admission queue depth bound per service "
                              f"(backpressure; default: {max_depth})")
-    parser.add_argument("--engine", default=None,
-                        choices=["numpy", "fake-gpu", "cupy"],
-                        help="array backend for every worker simulator")
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="fault-injection plan for every worker simulator")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -125,7 +122,7 @@ def _given(args, *names) -> dict:
 
 def _simulator_kwargs(args) -> dict:
     """The worker simulators' arguments (``serve``, ``gateway``, ``submit``)."""
-    return _given(args, "health", "max_splits", "faults", "engine")
+    return _given(args, "health", "max_splits", "faults")
 
 
 def _service_kwargs(args) -> dict:
@@ -193,7 +190,7 @@ def cmd_simulate(args) -> int:
                 "--simulator bqsim"
             )
         bqsim_kwargs["fidelity"] = args.fidelity
-    simulators = make_simulators(engine=args.engine, **bqsim_kwargs)
+    simulators = make_simulators(**bqsim_kwargs)
     simulator = simulators[args.simulator]
     if args.faults is not None:
         # scope the plan to the chosen simulator's runs
@@ -248,11 +245,7 @@ def cmd_simulate(args) -> int:
     if args.trace_out:
         write_chrome_trace(
             args.trace_out, spans, timeline=result.timeline,
-            metadata={
-                "circuit": circuit.name,
-                "simulator": result.simulator,
-                "engine": result.stats.get("engine", "numpy"),
-            },
+            metadata={"circuit": circuit.name, "simulator": result.simulator},
         )
         stages = [s for s in spans if s.attrs.get("category") == "stage"]
         print(f"spans     : {len(spans)} recorded "
@@ -453,8 +446,7 @@ def _connect(connect: str):
 #: ``submit`` flags that configure an in-process service; a gateway runs
 #: with its own settings, so ``--connect`` refuses them
 _IN_PROCESS_ONLY = (
-    "stats_json", "workers", "parallelism", "engine", "faults",
-    "max_deliveries",
+    "stats_json", "workers", "parallelism", "faults", "max_deliveries",
 )
 
 
@@ -722,10 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--health", default=None,
                    choices=["off", "warn", "renormalize", "fail"],
                    help="per-batch numerical health policy")
-    p.add_argument("--engine", default=None,
-                   choices=["numpy", "fake-gpu", "cupy"],
-                   help="array backend for the numeric kernels "
-                        "(default: REPRO_ENGINE or numpy)")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                    help="write batch-boundary checkpoints (bqsim only)")
     p.add_argument("--resume", default=None, metavar="CKPT",
@@ -823,8 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deliveries before the job is quarantined "
                         "(default: service setting, 3)")
     p.add_argument("--faults", default=None, metavar="PLAN")
-    p.add_argument("--engine", default=None,
-                   choices=["numpy", "fake-gpu", "cupy"])
     p.add_argument("--workers", type=int, default=None,
                    help="in-process service workers (default: 1)")
     p.add_argument("--parallelism", default=None,

@@ -22,13 +22,13 @@ from .workloads import Workload
 SIMULATOR_ORDER = ("cuquantum", "qiskit-aer", "flatdd", "bqsim")
 
 
-def make_simulators(engine=None, **bqsim_kwargs) -> dict[str, BatchSimulator]:
+def make_simulators(**bqsim_kwargs) -> dict[str, BatchSimulator]:
     """The paper's four contestants, in Table 2 column order."""
     return {
-        "cuquantum": CuQuantumSimulator(engine=engine),
-        "qiskit-aer": QiskitAerSimulator(engine=engine),
-        "flatdd": FlatDDSimulator(engine=engine),
-        "bqsim": BQSimSimulator(engine=engine, **bqsim_kwargs),
+        "cuquantum": CuQuantumSimulator(),
+        "qiskit-aer": QiskitAerSimulator(),
+        "flatdd": FlatDDSimulator(),
+        "bqsim": BQSimSimulator(**bqsim_kwargs),
     }
 
 

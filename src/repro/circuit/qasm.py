@@ -299,6 +299,8 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
             m = re.match(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$", stmt)
             if not m:
                 raise QasmError(f"bad qreg declaration {stmt!r}", line)
+            if m.group(1) in qregs:
+                raise QasmError(f"qreg '{m.group(1)}' declared twice", line)
             qregs[m.group(1)] = _Register(m.group(1), int(m.group(2)), total_qubits)
             total_qubits += int(m.group(2))
             continue

@@ -34,8 +34,6 @@ import os
 import numpy as np
 
 from ..errors import SimulationError
-from ..kernels import ops as _kernels
-from ..kernels.engine import ArrayEngine, get_engine
 from ..obs import get_metrics
 from ..resilience.faults import get_fault_injector
 from .format import ELLMatrix
@@ -51,8 +49,9 @@ BACKENDS = ("auto", "csr", "numpy", "loop")
 #: process-wide default backend; ``auto`` picks csr when SciPy is present
 DEFAULT_BACKEND = os.environ.get("REPRO_SPMM_BACKEND", "auto")
 
-#: row-block sizing of the numpy backend lives with the kernel itself
-#: (see ``repro.kernels.ops.BLOCK_ELEMS``)
+#: target element count of one row-block's scratch in the blocked spMM
+#: (64k complex128 ~= 1 MiB, small enough to stay cache-resident)
+BLOCK_ELEMS = 1 << 16
 
 
 def _resolve_backend(backend: str | None) -> str:
@@ -73,6 +72,52 @@ def default_backend() -> str:
     return _resolve_backend(None)
 
 
+# The kernels below count their calls as ``kernel.<name>.numpy.calls``;
+# the end-to-end benchmark sums every ``kernel.*.calls`` counter.
+
+def _gather_width1(values, flat_cols, states):
+    """Width-1 ELL apply: ``out[r, b] = values[r] * states[cols[r], b]``."""
+    get_metrics().inc("kernel.ell.gather.width1.numpy.calls")
+    return values * states[flat_cols, :]
+
+
+def _gather_spmm(values, cols, states):
+    """Cache-blocked gather + multiply-accumulate over ELL slots.
+
+    Processes row blocks small enough that per-block temporaries stay
+    cache-resident, accumulating slot 0 first — the order of the
+    reference loop, so results are bit-identical to it.
+    """
+    get_metrics().inc("kernel.ell.gather.spmm.numpy.calls")
+    num_rows, width = values.shape
+    batch = states.shape[1] if states.ndim == 2 else 1
+    block = max(16, min(num_rows, BLOCK_ELEMS // max(batch, 1)))
+    out = np.empty_like(states)
+    for r0 in range(0, num_rows, block):
+        r1 = min(r0 + block, num_rows)
+        acc = np.zeros((r1 - r0,) + states.shape[1:], dtype=states.dtype)
+        for k in range(width):
+            acc += values[r0:r1, k : k + 1] * states[cols[r0:r1, k], :]
+        out[r0:r1] = acc
+    return out
+
+
+def _gather_slots(values, cols, states, out):
+    """Reference per-slot loop: one whole-array gather-MAC per ELL slot."""
+    get_metrics().inc("kernel.ell.gather.slots.numpy.calls")
+    out[:] = 0
+    for k in range(values.shape[1]):
+        out += values[:, k : k + 1] * states[cols[:, k], :]
+    return out
+
+
+def _copy_into(out, result):
+    """Write a kernel result into a caller-provided output buffer."""
+    get_metrics().inc("kernel.batch.rotate.copy.numpy.calls")
+    np.copyto(out, result)
+    return out
+
+
 class GatherPlan:
     """Compiled gather/accumulate program for one ELL matrix.
 
@@ -89,7 +134,6 @@ class GatherPlan:
         "cols",
         "flat_cols",
         "_csr",
-        "_engine_arrays",
     )
 
     def __init__(self, num_qubits: int, values: np.ndarray, cols: np.ndarray):
@@ -104,9 +148,6 @@ class GatherPlan:
         self.cols = cols
         self.flat_cols = np.ascontiguousarray(cols.ravel())
         self._csr = None
-        # engine name -> (values, cols, flat_cols) in that engine's space;
-        # host engines alias the originals, device engines hold one upload
-        self._engine_arrays: dict[str, tuple] = {}
 
     @classmethod
     def from_ell(cls, ell: ELLMatrix) -> "GatherPlan":
@@ -143,34 +184,16 @@ class GatherPlan:
 
     # -- application ---------------------------------------------------------
 
-    def engine_arrays(self, engine: ArrayEngine) -> tuple:
-        """``(values, cols, flat_cols)`` in ``engine``'s array space.
-
-        Host engines alias the plan's own arrays (no copy); device
-        engines upload once and reuse the cached copies for every batch.
-        """
-        arrays = self._engine_arrays.get(engine.name)
-        if arrays is None:
-            arrays = (
-                engine.asarray(self.values),
-                engine.asarray(self.cols),
-                engine.asarray(self.flat_cols),
-            )
-            self._engine_arrays[engine.name] = arrays
-        return arrays
-
     def apply(
         self,
         states,
         out=None,
         backend: str | None = None,
-        engine: "str | ArrayEngine | None" = None,
     ) -> np.ndarray:
         """Multiply the planned matrix by a ``(2^n, batch)`` state block.
 
-        ``backend`` picks the algorithm (csr/numpy/loop), ``engine`` the
-        array space it runs in; the csr backend needs host memory and
-        silently falls back to the blocked kernel on real-device engines.
+        ``backend`` picks the algorithm (csr/numpy/loop); ``out`` receives
+        a copy of the result when given.
         """
         if states.shape[0] != self.num_rows:
             raise SimulationError(
@@ -181,35 +204,31 @@ class GatherPlan:
                 raise SimulationError("ell_spmm cannot run in place")
             if out.shape != states.shape:
                 raise SimulationError("output buffer shape mismatch")
-        eng = get_engine(engine)
-        values, cols, flat_cols = self.engine_arrays(eng)
         injector = get_fault_injector()
         if self.is_width_one:
             get_metrics().inc("spmm.backend.width1")
-            result = _kernels.ell_gather_width1(eng, values, flat_cols, states)
+            result = _gather_width1(self.values, self.flat_cols, states)
         else:
             mode = _resolve_backend(backend)
-            if mode == "csr" and not eng.host_memory:
-                mode = "numpy"  # scipy CSR cannot consume device arrays
             if injector is not None and injector.check(f"spmm.{mode}"):
                 raise SimulationError(f"injected spMM backend fault ({mode})")
             get_metrics().inc(f"spmm.backend.{mode}")
             if mode == "csr":
                 result = self._csr_matrix() @ states
             elif mode == "numpy":
-                result = _kernels.ell_gather_spmm(eng, values, cols, states)
+                result = _gather_spmm(self.values, self.cols, states)
             else:
-                result = _kernels.ell_gather_slots(
-                    eng, values, cols, states, eng.xp.zeros_like(states)
+                result = _gather_slots(
+                    self.values, self.cols, states, np.zeros_like(states)
                 )
         if injector is not None and injector.check("bitflip"):
             # every branch above produced a fresh array, so the corruption
             # never reaches the caller's inputs; the device-level output
             # check turns the NaN into a healed retry
-            eng.poison(result, injector.draw_index("bitflip", result.size))
+            result.flat[injector.draw_index("bitflip", result.size)] = np.nan
         if out is None:
             return result
-        return _kernels.copy_into(eng, out, result)
+        return _copy_into(out, result)
 
     def _csr_matrix(self):
         """CSR mirror, keeping padded slots as explicit zeros so the
@@ -264,7 +283,6 @@ def ell_spmm(
     states: np.ndarray,
     out: np.ndarray | None = None,
     backend: str | None = None,
-    engine: "str | ArrayEngine | None" = None,
 ) -> np.ndarray:
     """Multiply an ELL gate matrix by a ``(2^n, batch)`` state block.
 
@@ -272,14 +290,13 @@ def ell_spmm(
     memoized on first use) or a prebuilt :class:`GatherPlan`.
     """
     plan = gather_plan(ell) if isinstance(ell, ELLMatrix) else ell
-    return plan.apply(states, out=out, backend=backend, engine=engine)
+    return plan.apply(states, out=out, backend=backend)
 
 
 def ell_spmm_loop(
     ell: ELLMatrix,
     states: np.ndarray,
     out: np.ndarray | None = None,
-    engine: "str | ArrayEngine | None" = None,
 ) -> np.ndarray:
     """Reference per-slot loop kernel (the original implementation).
 
@@ -291,17 +308,15 @@ def ell_spmm_loop(
         raise SimulationError(
             f"state dim {states.shape[0]} != ELL rows {ell.num_rows}"
         )
-    eng = get_engine(engine)
     if out is None:
-        out = eng.xp.zeros_like(states)
+        out = np.zeros_like(states)
     elif out.shape != states.shape:
         raise SimulationError("output buffer shape mismatch")
     else:
         if out is states:
             raise SimulationError("ell_spmm cannot run in place")
     plan = gather_plan(ell) if isinstance(ell, ELLMatrix) else ell
-    values, cols, _ = plan.engine_arrays(eng)
-    return _kernels.ell_gather_slots(eng, values, cols, states, out)
+    return _gather_slots(plan.values, plan.cols, states, out)
 
 
 def spmm_macs(ell: ELLMatrix, batch_size: int) -> int:

@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DeviceError, MemoryFault, TransientFault
-from ..kernels.engine import ArrayEngine, get_engine
 from ..resilience.faults import get_fault_injector
 from ..resilience.retry import RetryPolicy, RetrySession
 from .engine import Timeline
@@ -62,12 +61,8 @@ class VirtualGPU:
         mode: str = "graph",
         retry: RetryPolicy | None = None,
         seed: int = 0,
-        engine: "str | ArrayEngine | None" = None,
     ):
         self.spec = spec or GpuSpec()
-        #: array engine buffer contents live in (numpy/fake-gpu/cupy);
-        #: H2D/D2H bodies cross the host<->engine boundary through it
-        self.engine = get_engine(engine)
         self.graph = TaskGraph(self.spec, mode=mode)
         self._buffers: dict[str, DeviceBuffer] = {}
         self._allocated = 0
@@ -153,7 +148,7 @@ class VirtualGPU:
         name = name or f"h2d:{buffer.name}"
 
         def body():
-            buffer.array = self.engine.from_host(host_array)
+            buffer.array = np.array(host_array, copy=True)
 
         _, attempts, backoff = self._attempt("copy", body, name)
         duration = self.spec.copy_time(host_array.nbytes) * attempts + backoff
@@ -169,7 +164,7 @@ class VirtualGPU:
         name = name or f"d2h:{buffer.name}"
 
         def body():
-            return self.engine.to_host_copy(buffer.require())
+            return np.array(buffer.require(), copy=True)
 
         snapshot, attempts, backoff = self._attempt("copy", body, name)
         duration = self.spec.copy_time(snapshot.nbytes) * attempts + backoff
@@ -199,9 +194,8 @@ class VirtualGPU:
             fn()
             if output is not None and self._injector is not None:
                 result = output.array
-                xp = self.engine.xp
                 if result is not None and not bool(
-                    xp.all(xp.isfinite(result))
+                    np.all(np.isfinite(result))
                 ):
                     raise TransientFault(
                         f"non-finite output detected after kernel {name!r}",

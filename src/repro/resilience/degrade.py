@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReproError
-from ..kernels.engine import get_engine
 from .events import get_resilience_log
 from .faults import get_fault_injector
 
@@ -63,7 +62,6 @@ class BackendLadder:
         ell,
         states: np.ndarray,
         out: np.ndarray | None = None,
-        engine=None,
     ):
         """``ell_spmm`` through the ladder, demoting until a backend works.
 
@@ -74,9 +72,7 @@ class BackendLadder:
 
         while True:
             try:
-                return ell_spmm(
-                    ell, states, out=out, backend=self._chain[0], engine=engine
-                )
+                return ell_spmm(ell, states, out=out, backend=self._chain[0])
             except _DEMOTABLE as exc:
                 if len(self._chain) == 1:
                     raise
@@ -96,7 +92,6 @@ def apply_with_recovery(
     states: np.ndarray,
     session=None,
     out: np.ndarray | None = None,
-    engine=None,
 ) -> np.ndarray:
     """Ladder apply plus bit-flip (non-finite) detection and re-apply.
 
@@ -108,12 +103,11 @@ def apply_with_recovery(
     report.  The non-finite scan only runs while an injector is active.
     """
     injector = get_fault_injector()
-    xp = get_engine(engine).xp
     attempt = 0
     while True:
         attempt += 1
-        result = ladder.apply(ell, states, out=out, engine=engine)
-        if injector is None or bool(xp.all(xp.isfinite(result))):
+        result = ladder.apply(ell, states, out=out)
+        if injector is None or bool(np.all(np.isfinite(result))):
             return result
         if session is None or session.next_backoff("bitflip", attempt) is None:
             return result

@@ -10,10 +10,10 @@ would be prohibitive.
 
 The run lifecycle is shared too: :meth:`BatchSimulator.run` scopes the
 simulator's fault plan around its ``_run``, and one
-:class:`RunObservation` per run starts the wall clock, resolves the array
-engine, opens the ``<simulator>.run`` span, times the canonical stages and
-builds the :class:`SimulationResult` with every stats block — so a
-simulator's ``_run`` holds only its model and its numerics.
+:class:`RunObservation` per run starts the wall clock, creates the spMM
+fallback ladder, opens the ``<simulator>.run`` span, times the canonical
+stages and builds the :class:`SimulationResult` with every stats block —
+so a simulator's ``_run`` holds only its model and its numerics.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..fusion.plan import FusionPlan
 from ..gpu.engine import Timeline
 from ..gpu.power import PowerReport
 from ..gpu.spec import CpuSpec, GpuSpec
-from ..kernels.engine import ArrayEngine, get_engine
 from ..obs import CANONICAL_STAGES, get_metrics, get_tracer
 from ..resilience import (
     BackendLadder,
@@ -132,7 +131,6 @@ class BatchSimulator(abc.ABC):
         retry: RetryPolicy | None = None,
         faults: FaultPlan | str | None = None,
         health: HealthPolicy | str | None = "warn",
-        engine: "str | ArrayEngine | None" = None,
     ):
         self.gpu = gpu or GpuSpec()
         self.cpu = cpu or CpuSpec()
@@ -146,9 +144,6 @@ class BatchSimulator(abc.ABC):
         self.faults = faults
         #: per-batch numerical health guard (off/warn/renormalize/fail)
         self.health = HealthPolicy.coerce(health)
-        #: array-engine designator; resolved per run so ``REPRO_ENGINE``
-        #: and :func:`repro.kernels.set_default_engine` changes apply
-        self.engine = engine
 
     def run(
         self,
@@ -263,21 +258,19 @@ class BatchSimulator(abc.ABC):
             return None
         with obs.stage("convert"):
             apply_plans = build_apply_plans(self._ells(prepared))
-        eng, ladder = obs.engine, obs.ladder
+        ladder = obs.ladder
         with obs.stage("execute") as span:
             session = RetrySession(self.retry, seed=obs.spec.seed)
             outputs = []
             for ib, batch in enumerate(batches):
-                states = (
-                    eng.from_host(batch.states) if eng.is_device else batch.states
-                )
+                states = batch.states
                 for apply_plan in apply_plans:
                     states = apply_with_recovery(
-                        ladder, apply_plan, states, session, engine=eng
+                        ladder, apply_plan, states, session
                     )
                 outputs.append(
                     check_state_block(
-                        eng.to_host(states), self.health,
+                        states, self.health,
                         label=f"{obs.circuit.name} batch {ib}",
                     )
                 )
@@ -465,7 +458,7 @@ class PlanCache:
 
 
 class RunObservation:
-    """One simulator run: its clock, engine, ladder, span, stages and result.
+    """One simulator run: its clock, ladder, span, stages and result.
 
     A simulator's ``_run`` opens one per run and returns what it builds::
 
@@ -474,10 +467,10 @@ class RunObservation:
                 ...
         return obs.result(modeled_time, {"plan": plan}, power=power)
 
-    Construction starts the wall clock, resolves the array :attr:`engine`,
-    creates the run's spMM fallback :attr:`ladder` (``None`` when
-    model-only) and marks the process-global tracer, metrics and
-    resilience log, so the result reports only this run's records.  The
+    Construction starts the wall clock, creates the run's spMM fallback
+    :attr:`ladder` (``None`` when model-only) and marks the process-global
+    tracer, metrics and resilience log, so the result reports only this
+    run's records.  The
     ``with`` block is the ``<simulator>.run`` span; ``span_attrs`` join
     its attributes.
     """
@@ -491,7 +484,6 @@ class RunObservation:
         self.circuit = circuit
         self.spec = spec
         self.execute = execute
-        self.engine: ArrayEngine = get_engine(sim.engine)
         #: one fallback ladder per run: a backend that failed once stays
         #: demoted for every later kernel of the run
         self.ladder = BackendLadder() if execute else None
@@ -556,7 +548,7 @@ class RunObservation:
     ) -> SimulationResult:
         """The run's :class:`SimulationResult`, every stats block attached.
 
-        The simulator's own ``stats`` follow ``engine`` and precede
+        The simulator's own ``stats`` come first, followed by
         ``wall_breakdown``, ``plan_cache``, ``trace`` (the run's spans),
         ``metrics`` (the run's delta) and ``resilience``: the run's events
         and counts, ``backend``, ``demoted``, ``task_retries``
@@ -581,7 +573,6 @@ class RunObservation:
             outputs=outputs,
             wall_time=time.perf_counter() - self._wall_start,
             stats={
-                "engine": self.engine.name,
                 **stats,
                 "wall_breakdown": dict(self.wall),
                 "plan_cache": self._sim._plans.stats_dict(),

@@ -39,8 +39,6 @@ from ..fusion.bqcs import bqcs_fusion, no_fusion_plan
 from ..fusion.plan import FusionPlan
 from ..gpu.device import VirtualGPU
 from ..gpu.power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
-from ..kernels import ops as _kernels
-from ..kernels.engine import ArrayEngine
 from ..gpu.spec import (
     COMPLEX_BYTES,
     CpuSpec,
@@ -71,6 +69,20 @@ from .base import (
 )
 
 NUM_BUFFERS = 4
+
+
+def _merge_parts(parts: list[np.ndarray]) -> np.ndarray:
+    """Merge split sub-batch columns back into one block.
+
+    Sub-batches produced by OOM-driven batch splitting come back from
+    D2H as host blocks; a single part passes through untouched.
+    """
+    get_metrics().inc("kernel.batch.rotate.merge.numpy.calls")
+    if not parts:
+        raise SimulationError("cannot merge an empty sub-batch list")
+    if len(parts) == 1:
+        return parts[0]
+    return np.hstack(parts)
 
 
 def buffer_indices(batch_index: int, kernel_index: int, kernels_per_batch: int) -> tuple[int, int]:
@@ -114,10 +126,9 @@ class BQSimSimulator(BatchSimulator):
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 1,
         max_splits: int = 0,
-        engine: "str | ArrayEngine | None" = None,
         fidelity: float = 1.0,
     ):
-        super().__init__(gpu, cpu, retry, faults, health, engine)
+        super().__init__(gpu, cpu, retry, faults, health)
         self.tau = tau
         self.fusion = fusion
         self.use_ell = use_ell
@@ -510,7 +521,6 @@ class BQSimSimulator(BatchSimulator):
                     skip=skip,
                     ladder=obs.ladder,
                     on_batch=on_batch if execute else None,
-                    engine=obs.engine,
                 )
                 timeline = device.run()
                 if outputs is not None and resumed:
@@ -572,7 +582,6 @@ class BQSimSimulator(BatchSimulator):
         skip: int = 0,
         ladder: BackendLadder | None = None,
         on_batch=None,
-        engine: "ArrayEngine | None" = None,
     ):
         """Build and numerically execute the task graph, splitting batches
         on memory pressure.
@@ -590,7 +599,6 @@ class BQSimSimulator(BatchSimulator):
                 mode="graph" if self.task_graph else "stream",
                 retry=self.retry,
                 seed=spec.seed,
-                engine=engine if engine is not None else self.engine,
             )
             work = {"macs": 0.0, "bytes": 0.0}
             try:
@@ -753,13 +761,10 @@ class BQSimSimulator(BatchSimulator):
                             ell=ell, src_buf=src_buf, dst_buf=dst_buf
                         ):
                             states = src_buf.require()
-                            eng = device.engine
                             if ladder is not None:
-                                dst_buf.array = ladder.apply(
-                                    ell, states, engine=eng
-                                )
+                                dst_buf.array = ladder.apply(ell, states)
                             else:
-                                dst_buf.array = ell_spmm(ell, states, engine=eng)
+                                dst_buf.array = ell_spmm(ell, states)
 
                         handle = device.kernel(
                             f"k{ik}:{tag}",
@@ -791,7 +796,7 @@ class BQSimSimulator(BatchSimulator):
                 jb += 1
 
             if executing:
-                merged = _kernels.batch_merge(device.engine, parts)
+                merged = _merge_parts(parts)
                 if on_batch is not None:
                     merged = on_batch(ib, merged)
                 outputs.append(merged)

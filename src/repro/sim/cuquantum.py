@@ -34,7 +34,6 @@ from ..gpu.spec import (
     dense_kernel_bytes,
     state_block_bytes,
 )
-from ..kernels.engine import ArrayEngine
 from ..resilience import FaultPlan, HealthPolicy, RetryPolicy, check_state_block
 from .base import BatchSimulator, BatchSpec, RunObservation, SimulationResult
 
@@ -64,9 +63,8 @@ class CuQuantumSimulator(BatchSimulator):
         retry: RetryPolicy | None = None,
         faults: FaultPlan | str | None = None,
         health: HealthPolicy | str | None = "warn",
-        engine: "str | ArrayEngine | None" = None,
     ):
-        super().__init__(gpu, cpu, retry, faults, health, engine)
+        super().__init__(gpu, cpu, retry, faults, health)
         self.plan_provider = plan_provider or cuquantum_plan
         if variant_name:
             self.name = variant_name
@@ -129,7 +127,6 @@ class CuQuantumSimulator(BatchSimulator):
                     mode="stream",
                     retry=self.retry,
                     seed=spec.seed,
-                    engine=obs.engine,
                 )
                 ladder = obs.ladder
                 rows = 1 << n
@@ -164,9 +161,7 @@ class CuQuantumSimulator(BatchSimulator):
                             def body(ell=ell, buffer=buffer, cell=[]):
                                 if not cell:
                                     cell.append(buffer.require())
-                                buffer.array = ladder.apply(
-                                    ell, cell[0], engine=device.engine
-                                )
+                                buffer.array = ladder.apply(ell, cell[0])
 
                             prev = device.kernel(
                                 f"k{ik}:b{ib}",

@@ -103,7 +103,6 @@ class MultiGpuBQSimSimulator(BQSimSimulator):
                             mode="graph" if self.task_graph else "stream",
                             retry=self.retry,
                             seed=spec.seed + device_index,
-                            engine=obs.engine,
                         )
                         shard_spec = BatchSpec(len(shard), spec.batch_size, spec.seed)
                         shard_batches = (

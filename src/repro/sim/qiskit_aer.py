@@ -16,7 +16,6 @@ from ..circuit import Circuit, InputBatch
 from ..fusion.array_fusion import aer_fusion
 from ..gpu.power import PowerReport, cpu_power_from_utilization, gpu_power_from_work
 from ..gpu.spec import COMPLEX_BYTES, CpuSpec, GpuSpec
-from ..kernels.engine import ArrayEngine
 from ..resilience import FaultPlan, HealthPolicy, RetryPolicy
 from .base import BatchSimulator, BatchSpec, RunObservation, SimulationResult
 
@@ -43,9 +42,8 @@ class QiskitAerSimulator(BatchSimulator):
         retry: RetryPolicy | None = None,
         faults: FaultPlan | str | None = None,
         health: HealthPolicy | str | None = "warn",
-        engine: "str | ArrayEngine | None" = None,
     ):
-        super().__init__(gpu, cpu, retry, faults, health, engine)
+        super().__init__(gpu, cpu, retry, faults, health)
         self.max_fused_qubits = max_fused_qubits
 
     def _run(

@@ -6,10 +6,8 @@ gates by amplitude-index manipulation (Equations 2 and 3 of the paper)
 without ever building a ``2^n x 2^n`` matrix.
 
 States are stored column-wise: ``states[amplitude, input]``, so one call
-updates a whole batch at once.  The numerics run through the kernel engine
-(:mod:`repro.kernels`): gather-table construction stays on the host, the
-gather + ``einsum`` apply executes on whatever :class:`ArrayEngine` the
-caller selects (numpy by default — bit-identical to the historical code).
+updates a whole batch at once.  Each dense apply is one NumPy gather +
+``einsum`` over an amplitude-index table built on the host.
 """
 
 from __future__ import annotations
@@ -19,25 +17,38 @@ import numpy as np
 from ..circuit import Circuit, InputBatch
 from ..circuit.gates import Gate
 from ..errors import SimulationError
-from ..kernels import ops as _kernels
-from ..kernels.engine import ArrayEngine, get_engine
+from ..obs import get_metrics
 
-# host-side gather-table builder shared with the kernel layer
-_gather_axes = _kernels.gather_axes
+
+def _gather_axes(num_qubits: int, operands: tuple[int, ...]) -> np.ndarray:
+    """Amplitude-index table for a dense gate application.
+
+    Rows enumerate assignments of non-operand qubits, columns the local
+    index over ``operands`` (``operands[i]`` is local bit ``i``).
+    """
+    rest = [q for q in range(num_qubits) if q not in operands]
+    k = len(operands)
+    rest_values = np.zeros(1 << len(rest), dtype=np.int64)
+    for i, q in enumerate(rest):
+        bit = (np.arange(1 << len(rest)) >> i) & 1
+        rest_values |= bit << q
+    local_values = np.zeros(1 << k, dtype=np.int64)
+    for i, q in enumerate(operands):
+        bit = (np.arange(1 << k) >> i) & 1
+        local_values |= bit << q
+    return rest_values[:, None] + local_values[None, :]
 
 
 def apply_gate(
     states: np.ndarray,
     gate: Gate,
     num_qubits: int,
-    engine: "str | ArrayEngine | None" = None,
 ) -> np.ndarray:
     """Apply one gate in place to a ``(2^n, batch)`` array; returns it."""
     if states.shape[0] != (1 << num_qubits):
         raise SimulationError(
             f"state dim {states.shape[0]} does not match n={num_qubits}"
         )
-    eng = get_engine(engine)
     matrix = gate.matrix()
     idx = _gather_axes(num_qubits, gate.all_qubits)
     if gate.controls:
@@ -46,41 +57,38 @@ def apply_gate(
         k_t = len(gate.qubits)
         ctrl_mask = ((1 << len(gate.controls)) - 1) << k_t
         idx = idx[:, ctrl_mask : ctrl_mask + (1 << k_t)]
-    return _kernels.dense_gate_apply(
-        eng, eng.asarray(matrix), states, eng.asarray(idx)
-    )
+    get_metrics().inc("kernel.dense.apply.numpy.calls")
+    gathered = states[idx, :]
+    states[idx, :] = np.einsum("ij,gjb->gib", matrix, gathered)
+    return states
 
 
 def simulate_batch(
     circuit: Circuit,
     batch: InputBatch,
     copy: bool = True,
-    engine: "str | ArrayEngine | None" = None,
 ) -> np.ndarray:
     """Run the whole circuit over a batch; returns the output amplitudes."""
     if batch.num_qubits != circuit.num_qubits:
         raise SimulationError(
             f"batch has {batch.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
-    eng = get_engine(engine)
     states = batch.states.copy() if copy else batch.states
-    if eng.is_device:
-        states = eng.from_host(states)
     for gate in circuit.gates:
-        apply_gate(states, gate, circuit.num_qubits, engine=eng)
-    return eng.to_host(states)
+        apply_gate(states, gate, circuit.num_qubits)
+    return states
 
 
 def simulate_state(
     circuit: Circuit,
     state: np.ndarray | None = None,
-    engine: "str | ArrayEngine | None" = None,
 ) -> np.ndarray:
     """Single-input convenience wrapper; defaults to ``|0...0>``."""
-    eng = get_engine(engine)
     dim = 1 << circuit.num_qubits
     if state is None:
-        col = eng.to_host(_kernels.statevector_init(eng, circuit.num_qubits, 1))
+        get_metrics().inc("kernel.state.init.numpy.calls")
+        col = np.zeros((dim, 1), dtype=np.complex128)
+        col[0, 0] = 1.0
     else:
         col = np.ascontiguousarray(state, dtype=np.complex128).reshape(dim, 1)
-    return simulate_batch(circuit, InputBatch(col), engine=eng)[:, 0]
+    return simulate_batch(circuit, InputBatch(col))[:, 0]

@@ -72,7 +72,6 @@ def test_docs_exist():
         "quickstart.md",
         "operations.md",
         "architecture.md",
-        "kernels.md",
         "approximation.md",
     } <= names
 

@@ -125,6 +125,7 @@ MALFORMED_QASM = {
     "missing-final-semicolon": HEADER + "h q[0];\nx q[1]",
     "full-width-index": HEADER + "h q[\uff10];",
     "full-width-size": "OPENQASM 2.0;\nqreg q[\uff12];",
+    "redeclared-qreg": "OPENQASM 2.0;\nqreg q[2];\nqreg q[3];\nh q[2];",
 }
 
 

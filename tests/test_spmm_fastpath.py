@@ -220,3 +220,49 @@ def test_ell_spmm_accepts_prebuilt_plan(rng):
     roundtrip = plan.to_ell()
     assert np.array_equal(roundtrip.values, ell.values)
     assert np.array_equal(roundtrip.cols, ell.cols)
+
+
+def _reference_blocked_spmm(values, cols, states):
+    """The pre-engine ``GatherPlan._apply_blocked`` body, verbatim."""
+    num_rows, width = values.shape
+    batch = states.shape[1] if states.ndim == 2 else 1
+    block = max(16, min(num_rows, (1 << 16) // max(batch, 1)))
+    out = np.empty_like(states)
+    for r0 in range(0, num_rows, block):
+        r1 = min(r0 + block, num_rows)
+        acc = np.zeros((r1 - r0,) + states.shape[1:], dtype=states.dtype)
+        for k in range(width):
+            acc += values[r0:r1, k : k + 1] * states[cols[r0:r1, k], :]
+        out[r0:r1] = acc
+    return out
+
+
+@pytest.fixture
+def random_plan(rng):
+    rows, width = 64, 3
+    values = rng.standard_normal((rows, width)) + 1j * rng.standard_normal(
+        (rows, width)
+    )
+    cols = rng.integers(0, rows, size=(rows, width)).astype(np.int64)
+    return GatherPlan(6, values, cols)
+
+
+def test_numpy_spmm_bit_identical_to_prerefactor(rng, random_plan):
+    states = rng.standard_normal((64, 7)) + 1j * rng.standard_normal((64, 7))
+    expected = _reference_blocked_spmm(
+        random_plan.values, random_plan.cols, states
+    )
+    result = ell_spmm(random_plan, states, backend="numpy")
+    np.testing.assert_array_equal(result, expected)
+
+
+def test_numpy_spmm_loop_bit_identical_to_prerefactor(rng, random_plan):
+    states = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+    expected = np.zeros_like(states)
+    for k in range(random_plan.width):
+        expected += (
+            random_plan.values[:, k : k + 1]
+            * states[random_plan.cols[:, k], :]
+        )
+    result = random_plan.apply(states, backend="loop")
+    np.testing.assert_array_equal(result, expected)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import Circuit, InputBatch, random_batch
 from repro.circuit.gates import Gate
+from repro.circuit.generators import make_circuit
 from repro.sim.statevector import apply_gate, simulate_batch, simulate_state
 from repro.errors import SimulationError
 
@@ -43,10 +44,9 @@ def test_simulate_batch_does_not_mutate_input(small_circuit, batch4):
 
 
 def test_simulate_batch_copy_false_mutates(small_circuit, batch4):
-    # in-place identity is a host-engine contract: device engines always
-    # copy across the host/device boundary
+    # copy=False runs the circuit in place on the caller's array
     batch = InputBatch(batch4.states.copy())
-    out = simulate_batch(small_circuit, batch, copy=False, engine="numpy")
+    out = simulate_batch(small_circuit, batch, copy=False)
     assert out is batch.states
 
 
@@ -76,3 +76,50 @@ def test_swap_gate_permutes_amplitudes():
     state = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
     out = simulate_state(c, state)
     assert out[2] == 1.0
+
+
+def _reference_gather_axes(num_qubits, operands):
+    """The pre-engine ``repro.sim.statevector._gather_axes``, verbatim."""
+    rest = [q for q in range(num_qubits) if q not in operands]
+    k = len(operands)
+    rest_values = np.zeros(1 << len(rest), dtype=np.int64)
+    for i, q in enumerate(rest):
+        bit = (np.arange(1 << len(rest)) >> i) & 1
+        rest_values |= bit << q
+    local_values = np.zeros(1 << k, dtype=np.int64)
+    for i, q in enumerate(operands):
+        bit = (np.arange(1 << k) >> i) & 1
+        local_values |= bit << q
+    return rest_values[:, None] + local_values[None, :]
+
+
+def _reference_apply_gate(states, gate, num_qubits):
+    """The pre-engine ``apply_gate`` body, verbatim (direct NumPy)."""
+    matrix = gate.matrix()
+    idx = _reference_gather_axes(num_qubits, gate.all_qubits)
+    if gate.controls:
+        k_t = len(gate.qubits)
+        ctrl_mask = ((1 << len(gate.controls)) - 1) << k_t
+        idx = idx[:, ctrl_mask : ctrl_mask + (1 << k_t)]
+    gathered = states[idx, :]
+    states[idx, :] = np.einsum("ij,gjb->gib", matrix, gathered)
+    return states
+
+
+def test_numpy_apply_gate_bit_identical_to_prerefactor(small_circuit, batch4):
+    ours = batch4.states.copy()
+    reference = batch4.states.copy()
+    for gate in small_circuit.gates:
+        apply_gate(ours, gate, 4)
+        _reference_apply_gate(reference, gate, 4)
+    np.testing.assert_array_equal(ours, reference)
+
+
+def test_numpy_simulate_batch_bit_identical_to_prerefactor(batch4):
+    circuit = make_circuit("qft", 4)
+    reference = batch4.states.copy()
+    for gate in circuit.gates:
+        _reference_apply_gate(reference, gate, 4)
+    np.testing.assert_array_equal(
+        simulate_batch(circuit, batch4), reference
+    )

@@ -91,7 +91,10 @@ def prune_edge(mgr: DDManager, edge: Edge, threshold: float) -> tuple[Edge, int]
             memo[e.node.nid] = hit
         return hit.scaled(e.weight)
 
-    return rec(edge), dropped
+    try:
+        return rec(edge), dropped
+    finally:
+        del rec  # it refers to itself: free the DDs without the cycle collector
 
 
 def gate_fidelity(mgr: DDManager, exact: Edge, approx: Edge) -> float:

@@ -36,7 +36,10 @@ def adjoint(mgr: DDManager, matrix: Edge) -> Edge:
             memo[e.node.nid] = hit
         return hit.scaled(complex(e.weight).conjugate())
 
-    return rec(matrix)
+    try:
+        return rec(matrix)
+    finally:
+        del rec  # it refers to itself: free the DDs without the cycle collector
 
 
 def matrix_kron(mgr_out: DDManager, upper: Edge, lower: Edge, lower_qubits: int) -> Edge:
@@ -109,7 +112,10 @@ def trace(matrix: Edge, num_qubits: int) -> complex:
         raise DDError("matrix level does not match num_qubits")
     if matrix.node is None:
         return complex(matrix.weight) * (1 << num_qubits)
-    return rec(matrix, num_qubits - 1)
+    try:
+        return rec(matrix, num_qubits - 1)
+    finally:
+        del rec  # it refers to itself: free the memo without the cycle collector
 
 
 def hilbert_schmidt(mgr: DDManager, a: Edge, b: Edge) -> complex:

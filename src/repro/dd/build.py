@@ -25,13 +25,19 @@ def gate_matrix_dd(mgr: DDManager, gate: Gate) -> Edge:
     base = gate.matrix()
     target_pos = {q: i for i, q in enumerate(gate.qubits)}
     controls = frozenset(gate.controls)
+    lowest = min(gate.all_qubits)
     memo: dict[tuple[int, int, int, bool], Edge] = {}
 
     def rec(level: int, grow: int, gcol: int, ctrl_ok: bool) -> Edge:
-        if level < 0:
-            if ctrl_ok:
-                return mgr.terminal(base[grow, gcol])
-            return mgr.terminal(1.0 if grow == gcol else 0.0)
+        if level < lowest:
+            # below the gate the (row, col) entry is fixed, so the DD there
+            # is the identity chain weighted by that entry
+            leaf = mgr.terminal(
+                base[grow, gcol] if ctrl_ok else (1.0 if grow == gcol else 0.0)
+            )
+            if level < 0 or leaf.weight == 0:
+                return leaf
+            return Edge(mgr.identity(level).node, leaf.weight)
         key = (level, grow, gcol, ctrl_ok)
         hit = memo.get(key)
         if hit is not None:
@@ -57,7 +63,10 @@ def gate_matrix_dd(mgr: DDManager, gate: Gate) -> Edge:
         memo[key] = result
         return result
 
-    return rec(n - 1, 0, 0, True)
+    try:
+        return rec(n - 1, 0, 0, True)
+    finally:
+        del rec  # it refers to itself: free the DDs without the cycle collector
 
 
 def circuit_matrix_dd(mgr: DDManager, gates) -> Edge:

@@ -2,10 +2,10 @@
 operations the paper builds on (DDAdd, DDMultiply, DDConcatenate).
 
 All node construction goes through :meth:`DDManager.make_mnode` /
-:meth:`make_vnode`, which normalize child weights (dividing by the first
-non-zero child weight) and hash-cons through unique tables, so structurally
-equal sub-matrices share one node — the property that makes DD-based gate
-fusion and the NZRV algorithm cheap.
+:meth:`make_vnode`, which normalize child weights (dividing by the
+maximum-magnitude child weight, the first of equals) and hash-cons through
+unique tables, so structurally equal sub-matrices share one node — the
+property that makes DD-based gate fusion and the NZRV algorithm cheap.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class DDManager:
         self._cache_madd: dict[tuple, Edge] = {}
         self._cache_vadd: dict[tuple, Edge] = {}
         self._identity_cache: dict[int, Edge] = {}
+        # rounded hash key of each weight value _make has stored
+        self._weight_keys: dict[complex, tuple[float, float]] = {}
         # analysis caches keyed by node id (nodes are hash-consed and live as
         # long as the manager, so nid keys are stable)
         self._cache_nzrv: dict[int, Edge] = {}
@@ -86,7 +88,10 @@ class DDManager:
         norm = None
         norm_mag = 0.0
         for child in children:
-            w = _canon_weight(child.weight)
+            w = child.weight
+            # 0 and 1 are their own canonical form: skip the snapping
+            if w != 0 and w != 1:
+                w = _canon_weight(w)
             if w == 0:
                 cleaned.append(ZERO_EDGE)
                 continue
@@ -94,7 +99,7 @@ class DDManager:
                 raise DDError(
                     f"child at level {child.node.level} under node at {level}"
                 )
-            cleaned.append(Edge(child.node, w))
+            cleaned.append(child if w is child.weight else Edge(child.node, w))
             # normalize by the maximum-magnitude child (first wins ties) so
             # every stored weight has |w| <= 1 and the absolute weight
             # tolerance stays numerically safe
@@ -105,6 +110,7 @@ class DDManager:
             return ZERO_EDGE
         normalized = []
         key = [level]
+        weight_keys = self._weight_keys
         for child in cleaned:
             w = child.weight
             if w != 0:
@@ -114,9 +120,13 @@ class DDManager:
                     w = 1.0 + 0j
                 child = Edge(child.node, w)
             normalized.append(child)
+            # the rounded hash key is a function of the weight's value, so
+            # one rounding serves every node that stores that weight
+            wkey = weight_keys.get(w)
+            if wkey is None:
+                wkey = weight_keys[w] = weight_key(w)
             key.append(id(child.node))
-            key.append(round(w.real, 10) + 0.0)
-            key.append(round(w.imag, 10) + 0.0)
+            key.append(wkey)
         key = tuple(key)
         node = table.get(key)
         if node is None:
@@ -209,14 +219,20 @@ class DDManager:
         if hit is None:
             a, b = e1.node.children, e2.node.children
             children = []
-            for i in (0, 1):
+            for i in (0, 2):
                 for j in (0, 1):
-                    children.append(
-                        self.m_add(
-                            self.mm_multiply(a[i * 2 + 0], b[0 * 2 + j]),
-                            self.mm_multiply(a[i * 2 + 1], b[1 * 2 + j]),
-                        )
-                    )
+                    # a[i] @ b[j] + a[i + 1] @ b[2 + j]; a zero factor or
+                    # term costs no call (either call would return at once)
+                    child = ZERO_EDGE
+                    for x, y in ((a[i], b[j]), (a[i + 1], b[2 + j])):
+                        if x.weight == 0 or y.weight == 0:
+                            continue
+                        term = self.mm_multiply(x, y)
+                        if child.weight == 0:
+                            child = term
+                        elif term.weight != 0:
+                            child = self.m_add(child, term)
+                    children.append(child)
             hit = self.make_mnode(e1.node.level, children)
             self._cache_mm[key] = hit
         return hit.scaled(e1.weight * e2.weight)

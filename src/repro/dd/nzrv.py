@@ -44,7 +44,10 @@ def nzr_vector(mgr: DDManager, matrix: Edge) -> Edge:
             cache[e.node.nid] = hit
         return hit
 
-    return rec(matrix)
+    try:
+        return rec(matrix)
+    finally:
+        del rec  # it refers to itself: free the DDs without the cycle collector
 
 
 def vector_max(edge: Edge, mgr: DDManager | None = None) -> float:
@@ -66,7 +69,10 @@ def vector_max(edge: Edge, mgr: DDManager | None = None) -> float:
             memo[node.nid] = hit
         return hit
 
-    return abs(edge.weight) * rec(edge.node)
+    try:
+        return abs(edge.weight) * rec(edge.node)
+    finally:
+        del rec  # it refers to itself: free the memo without the cycle collector
 
 
 def vector_moments(
@@ -94,7 +100,10 @@ def vector_moments(
             memo[node.nid] = hit
         return hit
 
-    s, s2 = rec(edge.node)
+    try:
+        s, s2 = rec(edge.node)
+    finally:
+        del rec  # it refers to itself: free the memo without the cycle collector
     w = abs(edge.weight)
     return (w * s, w * w * s2)
 

@@ -26,31 +26,46 @@ from .plan import FusedGate, FusionPlan
 
 
 def _lift(mgr: DDManager, circuit: Circuit) -> list[FusedGate]:
-    """Wrap every circuit gate as a single-gate :class:`FusedGate`."""
+    """Wrap every circuit gate as a single-gate :class:`FusedGate`.
+
+    A gate that repeats an earlier one (same targets, controls and base
+    matrix bytes) reuses its DD, cost and nnz: lifting it again would
+    rebuild the same hash-consed nodes and hit the same NZRV caches."""
+    lifted: dict[tuple, tuple] = {}
     items = []
     for index, gate in enumerate(circuit.gates):
-        dd = gate_matrix_dd(mgr, gate)
-        items.append(
-            FusedGate(
-                dd=dd,
-                cost=bqcs_cost(mgr, dd),
-                gate_indices=(index,),
-                nnz=total_nonzeros(mgr, dd),
-            )
-        )
+        key = (gate.qubits, gate.controls, gate.matrix().tobytes())
+        hit = lifted.get(key)
+        if hit is None:
+            dd = gate_matrix_dd(mgr, gate)
+            hit = lifted[key] = (dd, bqcs_cost(mgr, dd), total_nonzeros(mgr, dd))
+        dd, cost, nnz = hit
+        items.append(FusedGate(dd=dd, cost=cost, gate_indices=(index,), nnz=nnz))
     return items
 
 
 def _fuse(mgr: DDManager, first: FusedGate, second: FusedGate) -> FusedGate:
-    """Fuse two adjacent fused gates (``second`` applied after ``first``)."""
+    """Fuse two adjacent fused gates (``second`` applied after ``first``).
+
+    Every gate is unitary, so a cost-1 gate has one entry per row and per
+    column: multiplying by it, on either side, permutes the other factor's
+    rows or columns and scales entries by unit phases.  The product then
+    keeps the other factor's cost and nnz, and needs no NZRV walk (were
+    DD snapping ever to zero an entry, the cost could only be over-reported,
+    which pads an ELL slot with a zero and stays exact)."""
     dd = mgr.mm_multiply(second.dd, first.dd)
     if dd.weight == 0:
         raise FusionError("fused gate collapsed to the zero matrix")
+    if first.cost == 1 or second.cost == 1:
+        other = second if first.cost == 1 else first
+        cost, nnz = other.cost, other.nnz
+    else:
+        cost, nnz = bqcs_cost(mgr, dd), total_nonzeros(mgr, dd)
     return FusedGate(
         dd=dd,
-        cost=bqcs_cost(mgr, dd),
+        cost=cost,
         gate_indices=first.gate_indices + second.gate_indices,
-        nnz=total_nonzeros(mgr, dd),
+        nnz=nnz,
     )
 
 

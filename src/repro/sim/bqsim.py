@@ -378,16 +378,19 @@ class BQSimSimulator(BatchSimulator):
             except ConversionError as exc:
                 self._plans.quarantine(path, str(exc))
                 return None
+            plan = compiled.to_fusion_plan()
             return {
                 "mgr": None,
-                "plan": compiled.to_fusion_plan(),
+                "plan": plan,
                 "fused_nodes": compiled.fused_nodes,
                 "conv_infos": [dict(info) for info in compiled.conv_infos],
                 "ells": list(compiled.matrices) if compiled.has_matrices else None,
-                # pre-approximation archives carry no ledger; the exact
-                # block keeps disk-warm stats["approx"] well-formed
+                # exact archives carry no ledger; this block is the one an
+                # exact build reports, so stats["approx"] ignores the tier
                 "approx": compiled.approx
-                or FidelityLedger(budget=self.fidelity).to_dict(),
+                or FidelityLedger(
+                    budget=self.fidelity, num_gates=len(plan.gates)
+                ).to_dict(),
             }
 
     def _save_compiled(self, prepared: dict) -> None:
@@ -556,8 +559,7 @@ class BQSimSimulator(BatchSimulator):
                 "plan_source": plan_source,
                 "plan_key": prepared["key"],
                 "overlap_fraction": timeline.overlap_fraction(),
-                "approx": prepared.get("approx")
-                or FidelityLedger(budget=self.fidelity).to_dict(),
+                "approx": prepared["approx"],
             },
             breakdown={
                 "fusion": t_fusion,

@@ -398,6 +398,24 @@ def test_disk_cached_plan_preserves_the_ledger(tmp_path):
     assert np.array_equal(second.outputs[0], first.outputs[0])
 
 
+@pytest.mark.parametrize("budget", [1.0, 0.99])
+def test_disk_tier_reports_the_built_approx_block(budget, tmp_path):
+    """An exact archive carries no ledger, yet its plan reports the
+    ``stats["approx"]`` block a fresh build does (``num_gates`` included)."""
+    circuit = make_circuit("qft", 6)
+    spec = BatchSpec(num_batches=1, batch_size=2, seed=0)
+    built = BQSimSimulator(fidelity=budget, cache_dir=str(tmp_path))
+    first = built.run(circuit, spec, execute=True)
+    loaded = BQSimSimulator(fidelity=budget, cache_dir=str(tmp_path))
+    second = loaded.run(circuit, spec, execute=True)
+    assert (first.stats["plan_source"], second.stats["plan_source"]) == (
+        "built",
+        "disk",
+    )
+    assert second.stats["approx"] == first.stats["approx"]
+    assert first.stats["approx"]["num_gates"] == first.stats["fused_gates"]
+
+
 def test_exact_plan_archive_has_no_approx_payload(tmp_path):
     from repro.ell.persist import load_compiled_plan
 

@@ -1,5 +1,8 @@
 """Tests for the BQSim pipeline simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -162,3 +165,21 @@ def test_device_memory_guard():
     with pytest.raises(SimulationError, match="exceed device memory"):
         tiny.run(circuit, BatchSpec(2, 256), execute=False)
 
+
+
+@pytest.mark.parametrize("budget", [1.0, 0.99])
+def test_dropped_cold_run_frees_its_dds_without_the_cycle_collector(budget):
+    """No DD-building closure keeps a cycle, so the manager that owns a
+    cold run's nodes goes as soon as the last reference does."""
+    circuit = make_circuit("qnn", 5)
+    sim = BQSimSimulator(fidelity=budget)
+    gc.collect()
+    gc.disable()
+    try:
+        result = sim.run(circuit, BatchSpec(num_batches=1, batch_size=2, seed=0))
+        mgr = weakref.ref(sim._plans.peek(sim.plan_fingerprint(circuit))["mgr"])
+        assert mgr() is not None
+        del sim, result
+        assert mgr() is None
+    finally:
+        gc.enable()

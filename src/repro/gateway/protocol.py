@@ -23,6 +23,10 @@ Design rules, enforced here so every entry point shares them:
   /:data:`MAX_QUBITS` /:data:`MAX_GATES` /:data:`MAX_INPUTS` bounds is
   refused with ``OVERSIZED`` (the gate count check runs *after* parsing
   but before any simulation work);
+* **integers are not booleans** — ``json.loads`` turns ``true`` into
+  Python's ``True``, which ``isinstance(x, int)`` accepts; every integer
+  and number field is checked with :func:`is_json_int` /
+  :func:`is_json_number`, which refuse it;
 * **bit-exact amplitudes** — complex128 matrices cross the wire as
   base64 of their raw little-endian bytes (:func:`encode_array` /
   :func:`decode_array`), so a batch submitted over TCP reproduces the
@@ -103,6 +107,16 @@ class ProtocolError(Exception):
         return {"code": self.code, "message": str(self), **self.extra}
 
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer (``true`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number (``true`` is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -137,7 +151,7 @@ def decode_frame(line: bytes) -> dict:
             f"frame must be a JSON object, got {type(obj).__name__}",
         )
     version = obj.get("v")
-    if version != PROTOCOL_VERSION:
+    if not is_json_int(version) or version != PROTOCOL_VERSION:
         raise ProtocolError(
             "UNSUPPORTED_VERSION",
             f"protocol version {version!r} not supported "
@@ -193,7 +207,7 @@ def decode_array(wire: dict) -> np.ndarray:
     if (
         not isinstance(shape, list)
         or not shape
-        or not all(isinstance(dim, int) and dim > 0 for dim in shape)
+        or not all(is_json_int(dim) and dim > 0 for dim in shape)
     ):
         raise ProtocolError("BAD_INPUTS", f"bad array shape {shape!r}")
     try:
@@ -258,7 +272,7 @@ def circuit_from_wire(wire) -> Circuit:
         seed = wire.get("seed", 0)
         if not isinstance(family, str):
             raise ProtocolError("BAD_CIRCUIT", "'family' must be a string")
-        if not isinstance(num_qubits, int) or num_qubits < 1:
+        if not is_json_int(num_qubits) or num_qubits < 1:
             raise ProtocolError(
                 "BAD_CIRCUIT",
                 f"'num_qubits' must be a positive integer, "
@@ -271,7 +285,7 @@ def circuit_from_wire(wire) -> Circuit:
                 f"of {MAX_QUBITS}",
                 limit=MAX_QUBITS,
             )
-        if not isinstance(seed, int):
+        if not is_json_int(seed):
             raise ProtocolError("BAD_CIRCUIT", "'seed' must be an integer")
         try:
             circuit = make_circuit(family, num_qubits, seed=seed)

@@ -14,13 +14,13 @@ stability property the gateway's scaling story rests on.
 Failover reuses the crash-evidence machinery from the service layer:
 when a shard's process pool spends its restart budget
 (:func:`~repro.resilience.failover.shard_is_dead`), the router rescues
-its queued jobs (:func:`~repro.resilience.failover.rescue_queued` —
-cancelled on the dead shard, so the lifecycle log stays accounted),
-resubmits them on surviving shards with their exact input amplitudes and
-crash evidence carried along, and records the old-id → new-id alias so
-clients polling the original id keep working.  In-flight jobs are left
-to the dead shard's own redelivery/quarantine bookkeeping, which already
-guarantees a terminal state for them.
+its queued jobs (:func:`~repro.resilience.failover.rescue_queued`): each
+is resubmitted on a surviving shard with its exact input amplitudes and
+crash evidence, its old-id → new-id alias is recorded, and only then is
+it cancelled on the dead shard, so the lifecycle log stays accounted and
+a client asking for the original id never sees it end ``cancelled``.
+In-flight jobs are left to the dead shard's own redelivery/quarantine
+bookkeeping, which already guarantees a terminal state for them.
 
 Observability is merged, not sampled: per-shard
 :class:`~repro.obs.slo.SLOTracker` histograms fold together exactly
@@ -35,6 +35,7 @@ import hashlib
 import threading
 import time
 from bisect import bisect_right
+from contextlib import contextmanager
 
 from ..errors import (
     AdmissionError,
@@ -191,6 +192,9 @@ class ShardRouter:
         self._rescued = 0
         self._rr = 0
         self._lock = threading.Lock()
+        #: serializes check_failover, so one thread at a time holds a dead
+        #: shard's lock while it takes a survivor's
+        self._failover_lock = threading.Lock()
         self._closed = False
 
     # -- placement -----------------------------------------------------------
@@ -308,11 +312,28 @@ class ShardRouter:
             raise ServiceError(f"unknown job id {job_id!r}")
         return shard
 
+    @contextmanager
+    def _holding(self, job_id: str):
+        """``(current id, shard)`` with that shard's lock held.
+
+        The id is resolved again once the lock is held: failover records
+        a rescued job's alias under its dead shard's lock before it
+        cancels the original, so a lookup that waited out a rescue
+        follows the alias instead of landing on the cancelled original.
+        """
+        current = self.resolve(job_id)
+        while True:
+            shard = self._shard_of(current)
+            with shard.lock:
+                now = self.resolve(job_id)
+                if now == current:
+                    yield current, shard
+                    return
+            current = now
+
     def job(self, job_id: str):
         """The live :class:`~repro.service.jobs.Job` behind a public id."""
-        current = self.resolve(job_id)
-        shard = self._shard_of(current)
-        with shard.lock:
+        with self._holding(job_id) as (current, shard):
             return shard.service.job(current)
 
     def deliver(self, job_id: str):
@@ -327,18 +348,14 @@ class ShardRouter:
         caller replies from ``status``: the pump may end the job as soon
         as the lock is released, and a job it ended then has not been
         delivered."""
-        current = self.resolve(job_id)
-        shard = self._shard_of(current)
-        with shard.lock:  # job() re-enters this hold
-            job = self.job(current)
+        with self._holding(job_id) as (current, shard):
+            job = self.job(current)  # re-enters this hold
             status = shard.service.deliver(current)
         return job, status
 
     def describe(self, job_id: str) -> dict:
         """JSON-safe job status, stamped with its (current) shard."""
-        current = self.resolve(job_id)
-        shard = self._shard_of(current)
-        with shard.lock:
+        with self._holding(job_id) as (current, shard):
             info = shard.service.job(current).describe()
         info["shard"] = shard.name
         if current != job_id:
@@ -346,9 +363,7 @@ class ShardRouter:
         return info
 
     def cancel(self, job_id: str):
-        current = self.resolve(job_id)
-        shard = self._shard_of(current)
-        with shard.lock:
+        with self._holding(job_id) as (current, shard):
             try:
                 return shard.service.cancel(current)
             except JobNotCancellable:
@@ -423,43 +438,49 @@ class ShardRouter:
         """Rescue queued work off any shard whose pool just died.
 
         Returns the number of jobs moved.  The dead shard leaves the
-        ring (so new placements avoid it), its queued jobs are cancelled
-        there (accounted) and resubmitted on surviving shards with their
-        exact amplitudes, attributes, and crash evidence; the old id
-        aliases to the new one.  With no survivors the jobs stay
+        ring (so new placements avoid it), and each queued job is
+        resubmitted on a surviving shard with its exact amplitudes,
+        attributes, and crash evidence, its old id aliased to the new
+        one, and then cancelled on the dead shard (accounted).  The dead
+        shard's lock is held throughout, so no lookup of an old id sees
+        it between those steps.  With no survivors the jobs stay
         cancelled — accounted, not lost — and the router raises nothing.
         """
         moved = 0
-        for shard in list(self.shards.values()):
-            if shard.dead:
-                continue
-            with shard.lock:
-                if not shard_is_dead(shard.service):
+        with self._failover_lock:
+            for shard in self.shards.values():
+                if shard.dead:
                     continue
-                shard.dead = True
-                if shard.name in self.ring.nodes:
-                    self.ring.remove(shard.name)
-                rescued = rescue_queued(shard.service, shard.name)
-            if not rescued:
-                continue
-            self._failovers += 1
-            get_metrics().inc("gateway.shard_deaths")
-            moved_here = 0
-            if self._live_shards():
-                for spec in rescued:
-                    if self._resubmit(spec) is not None:
-                        moved_here += 1
-            with self._lock:
-                self._rescued += moved_here
-            moved += moved_here
+                placed: list[Shard | None] = []
+                with shard.lock:
+                    if not shard_is_dead(shard.service):
+                        continue
+                    shard.dead = True
+                    if shard.name in self.ring.nodes:
+                        self.ring.remove(shard.name)
+                    rescued = rescue_queued(
+                        shard.service,
+                        shard.name,
+                        rehome=lambda spec: placed.append(
+                            self._resubmit(spec)
+                        ),
+                    )
+                if not rescued:
+                    continue
+                self._failovers += 1
+                get_metrics().inc("gateway.shard_deaths")
+                moved_here = sum(target is not None for target in placed)
+                with self._lock:
+                    self._rescued += moved_here
+                moved += moved_here
         return moved
 
     def _resubmit(self, spec) -> Shard | None:
         """Place one rescued job on a surviving shard (None if refused)."""
-        group_key = self.group_key_for(
-            spec.circuit, spec.options, spec.fidelity
-        )
         try:
+            group_key = self.group_key_for(
+                spec.circuit, spec.options, spec.fidelity
+            )
             target = self._place(group_key)
             with target.lock:
                 job = target.service.submit(

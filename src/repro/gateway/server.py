@@ -6,8 +6,10 @@ protocol of :mod:`repro.gateway.protocol`, and drives a
 thread** — the shards' synchronous ``step()`` loops never run on the
 event loop, so a slow mega-batch cannot stall connection handling.
 Handler coroutines reach the router through ``run_in_executor`` (router
-calls take shard locks) and poll job objects with short async sleeps for
-bounded ``result`` waits.
+calls take shard locks).  No handler polls: a submit wakes the pump, a
+waiting ``result`` wakes on its job's terminal lifecycle event, and a
+``stream`` wakes when the event hub appends (:class:`_EventHub` is the
+one place that wakes waiters).
 
 Request ops: ``ping``, ``submit``, ``status``, ``result``, ``cancel``,
 ``stream`` (the connection switches to a live feed of lifecycle events,
@@ -26,7 +28,9 @@ into draining mode — every request on a *new* connection is refused with
 the typed ``DRAINING`` error, in-flight work is finished via the
 router's drain, then the fleet closes.  Established connections may keep
 calling ``status``/``result``/``metrics`` during the drain to collect
-what they are owed; only ``submit`` and ``stream`` are refused.
+what they are owed; only ``submit`` and ``stream`` are refused.  When
+the fleet has closed, :meth:`shutdown` closes every open connection and
+returns once their handlers have ended.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from .protocol import (
     encode_frame,
     error_response,
     inputs_from_wire,
+    is_json_int,
+    is_json_number,
     ok_response,
 )
 from .router import ShardRouter
@@ -64,7 +70,9 @@ from .router import ShardRouter
 #: longer (keeps a dead client from parking a handler forever)
 MAX_RESULT_WAIT_S = 300.0
 
-#: how long the pump thread sleeps when the fleet is idle
+#: longest the pump waits for a submit after a step that finished
+#: nothing; it then steps anyway, to check failover and to retry queued
+#: work a step left undispatched
 PUMP_IDLE_S = 0.005
 
 
@@ -82,15 +90,36 @@ def _salvage_id(line: bytes):
     return None
 
 
+def _positive_number(request: dict, name: str, default=None):
+    """``request[name]`` (or ``default``), refused unless a positive
+    number; NaN and booleans are refused too."""
+    value = request.get(name, default)
+    if value is not None and not (is_json_number(value) and value > 0):
+        raise ProtocolError(
+            "BAD_ENVELOPE", f"{name!r} must be a positive number"
+        )
+    return value
+
+
+def _settle(futures) -> None:
+    for future in futures:
+        if not future.done():
+            future.set_result(None)
+
+
 class _EventHub:
-    """Globally-sequenced merge of every shard's lifecycle stream.
+    """Globally-sequenced merge of every shard's lifecycle stream, and
+    the one place that wakes the handlers waiting on it.
 
     Lifecycle listeners fire on whatever thread emitted the event (pump
-    thread, handler executor); the hub appends under a lock and stream
-    handlers poll :meth:`since` — no cross-thread event-loop wakeups to
-    get wrong, at the cost of a few milliseconds of staleness.  The hub
-    keeps the newest :data:`~repro.obs.lifecycle.EVENT_WINDOW` events;
-    sequence numbers stay absolute.
+    thread, handler executor).  The hub appends under a lock and resolves
+    the asyncio futures registered for that append on the event loop
+    (``call_soon_threadsafe``): a stream caught up in :meth:`since` waits
+    for the next append, a ``result`` (:meth:`watch`) for its job's
+    terminal event.  A woken future is forgotten, so the registry holds
+    only handlers that are waiting.  The hub keeps the newest
+    :data:`~repro.obs.lifecycle.EVENT_WINDOW` events; sequence numbers
+    stay absolute.
     """
 
     def __init__(self) -> None:
@@ -98,8 +127,16 @@ class _EventHub:
         self._events: deque[dict] = deque(maxlen=lifecycle.EVENT_WINDOW)
         #: the sequence number the next event gets
         self.next_seq = 0
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: job id -> futures its terminal event resolves
+        self._watchers: dict[str, list[asyncio.Future]] = {}
+        #: futures the next append resolves (caught-up streams)
+        self._streams: list[asyncio.Future] = []
 
-    def attach(self, router: ShardRouter) -> None:
+    def attach(
+        self, router: ShardRouter, loop: asyncio.AbstractEventLoop
+    ) -> None:
+        self._loop = loop
         for shard in router.shards.values():
             shard.service.lifecycle.subscribe(
                 lambda event, _name=shard.name: self._append(_name, event)
@@ -109,12 +146,27 @@ class _EventHub:
         with self._lock:
             self._events.append({"seq": self.next_seq, "shard": shard, **event})
             self.next_seq += 1
+            woken, self._streams = self._streams, []
+            if event["event"] in lifecycle.TERMINAL_EVENTS:
+                woken += self._watchers.pop(event["job"], [])
+        if woken:
+            self._wake(woken)
 
-    def since(self, seq: int) -> list[dict]:
+    def _wake(self, futures: list[asyncio.Future]) -> None:
+        try:
+            self._loop.call_soon_threadsafe(_settle, futures)
+        except RuntimeError:  # the loop has closed: no one is waiting
+            pass
+
+    def since(
+        self, seq: int, wake: asyncio.Future | None = None
+    ) -> list[dict]:
         """Events with hub sequence >= ``seq`` (empty when caught up).
 
-        Raises ``STREAM_EXPIRED``, carrying ``oldest_seq``, when ``seq``
-        is older than the window."""
+        When there are none and ``wake`` is given, the next append
+        resolves ``wake``; the check and the registration share the lock,
+        so no append falls between them.  Raises ``STREAM_EXPIRED``,
+        carrying ``oldest_seq``, when ``seq`` is older than the window."""
         with self._lock:
             oldest = self.next_seq - len(self._events)
             if seq < oldest:
@@ -124,9 +176,37 @@ class _EventHub:
                     f"starts at {oldest}",
                     oldest_seq=oldest,
                 )
-            return list(itertools.islice(
+            events = list(itertools.islice(
                 self._events, len(self._events) - (self.next_seq - seq), None
             ))
+            if not events and wake is not None:
+                self._streams.append(wake)
+            return events
+
+    def watch(self, job_id: str, ended: asyncio.Future) -> None:
+        """Resolve ``ended`` on the next terminal event of ``job_id``.
+
+        Register before reading the job's status: every terminal path
+        sets the status before it emits its event, so a job that ends
+        after that read wakes the watcher."""
+        with self._lock:
+            self._watchers.setdefault(job_id, []).append(ended)
+
+    def unwatch(self, job_id: str, ended: asyncio.Future) -> None:
+        """Forget a watcher (a no-op once its event has woken it)."""
+        with self._lock:
+            watchers = self._watchers.get(job_id, [])
+            if ended in watchers:
+                watchers.remove(ended)
+                if not watchers:
+                    del self._watchers[job_id]
+
+    def release_streams(self) -> None:
+        """Wake every caught-up stream (the server is closing)."""
+        with self._lock:
+            woken, self._streams = self._streams, []
+        if woken:
+            self._wake(woken)
 
     def __len__(self) -> int:
         with self._lock:
@@ -169,9 +249,13 @@ class GatewayServer:
         self._server: asyncio.AbstractServer | None = None
         self._pump_thread: threading.Thread | None = None
         self._stop = threading.Event()
+        #: set by every admitted submit (and by shutdown): ends the pump's
+        #: idle wait
+        self._wake = threading.Event()
         self._draining = False
         self._closed = False
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: open connections and the handler task serving each
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -179,7 +263,7 @@ class GatewayServer:
         """Bind and start serving; resolves the ephemeral port."""
         if self._server is not None:
             raise GatewayError("server already started")
-        self.hub.attach(self.router)
+        self.hub.attach(self.router, asyncio.get_running_loop())
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=MAX_LINE_BYTES + 2
         )
@@ -204,7 +288,10 @@ class GatewayServer:
         Idempotent.  New requests are refused with ``DRAINING`` the
         moment this is called; the pump thread keeps stepping until the
         fleet is idle, then everything closes and every job is in
-        exactly one terminal state.
+        exactly one terminal state.  Open connections are closed last
+        (idle streams end, request connections see EOF), and this
+        returns once their handlers have ended, within
+        :data:`MAX_RESULT_WAIT_S`.
         """
         if self._closed:
             return
@@ -213,6 +300,7 @@ class GatewayServer:
         if drain:
             await loop.run_in_executor(None, self.router.drain)
         self._stop.set()
+        self._wake.set()
         if self._pump_thread is not None:
             await loop.run_in_executor(None, self._pump_thread.join)
         await loop.run_in_executor(
@@ -221,9 +309,19 @@ class GatewayServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        self.hub.release_streams()
         for writer in list(self._connections):
-            writer.close()
+            if writer.transport.get_write_buffer_size():
+                # its client has stopped reading: a close would wait on it
+                writer.transport.abort()
+            else:
+                writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections.values()), timeout=MAX_RESULT_WAIT_S
+            )
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- the pump thread -----------------------------------------------------
 
@@ -231,6 +329,9 @@ class GatewayServer:
         """Drive the synchronous shards until told to stop."""
         metrics = get_metrics()
         while not self._stop.is_set():
+            # cleared before the step, so a submit admitted during the
+            # step makes the wait below return at once
+            self._wake.clear()
             try:
                 finished = self.router.step_all()
             except Exception:  # a step must never kill the pump
@@ -239,7 +340,7 @@ class GatewayServer:
             if finished:
                 metrics.inc("gateway.pumped_jobs", finished)
             else:
-                self._stop.wait(PUMP_IDLE_S)
+                self._wake.wait(PUMP_IDLE_S)
 
     # -- connection handling -------------------------------------------------
 
@@ -248,12 +349,12 @@ class GatewayServer:
     ) -> None:
         metrics = get_metrics()
         metrics.inc("gateway.connections")
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         #: connections opened during a drain get the typed refusal on
         #: every request; established ones may still collect results
         born_draining = self._draining
         try:
-            while True:
+            while not self._closed:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
@@ -304,7 +405,7 @@ class GatewayServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -372,7 +473,7 @@ class GatewayServer:
         circuit = circuit_from_wire(request.get("circuit"))
         batch = inputs_from_wire(request.get("inputs"), circuit)
         num_inputs = request.get("num_inputs", 1)
-        if not isinstance(num_inputs, int) or num_inputs < 1:
+        if not is_json_int(num_inputs) or num_inputs < 1:
             raise ProtocolError(
                 "BAD_INPUTS",
                 f"'num_inputs' must be a positive integer, "
@@ -384,26 +485,14 @@ class GatewayServer:
                 "BAD_ENVELOPE", "'tenant' must be a non-empty string"
             )
         priority = request.get("priority", 0)
-        if not isinstance(priority, int):
+        if not is_json_int(priority):
             raise ProtocolError(
                 "BAD_ENVELOPE", "'priority' must be an integer"
             )
-        deadline_s = request.get("deadline_s")
-        timeout_s = request.get("timeout_s")
-        for name, value in (("deadline_s", deadline_s),
-                            ("timeout_s", timeout_s)):
-            if value is not None and (
-                not isinstance(value, (int, float)) or value <= 0
-            ):
-                raise ProtocolError(
-                    "BAD_ENVELOPE", f"{name!r} must be a positive number"
-                )
+        deadline_s = _positive_number(request, "deadline_s")
+        timeout_s = _positive_number(request, "timeout_s")
         fidelity = request.get("fidelity", 1.0)
-        if (
-            not isinstance(fidelity, (int, float))
-            or isinstance(fidelity, bool)
-            or not 0.0 < fidelity <= 1.0
-        ):
+        if not is_json_number(fidelity) or not 0.0 < fidelity <= 1.0:
             raise ProtocolError(
                 "BAD_ENVELOPE",
                 f"'fidelity' must be a number in (0, 1], got {fidelity!r}",
@@ -418,7 +507,7 @@ class GatewayServer:
                 self.router.clock() + float(deadline_s)
                 if deadline_s is not None else None
             )
-            return self.router.submit(
+            admitted = self.router.submit(
                 circuit,
                 batch,
                 num_inputs=num_inputs,
@@ -431,6 +520,8 @@ class GatewayServer:
                 options=tuple(options),
                 fidelity=float(fidelity),
             )
+            self._wake.set()
+            return admitted
 
         job, shard = await loop.run_in_executor(None, _do_submit)
         return ok_response(None, job=job.job_id, shard=shard)
@@ -445,34 +536,40 @@ class GatewayServer:
 
     async def _result(self, request: dict) -> dict:
         job_id = self._job_ref(request)
-        wait = bool(request.get("wait", True))
-        timeout_s = request.get("timeout_s", 60.0)
-        if not isinstance(timeout_s, (int, float)) or timeout_s <= 0:
-            raise ProtocolError(
-                "BAD_ENVELOPE", "'timeout_s' must be a positive number"
-            )
-        timeout_s = min(float(timeout_s), MAX_RESULT_WAIT_S)
+        wait = request.get("wait", True)
+        if not isinstance(wait, bool):
+            raise ProtocolError("BAD_ENVELOPE", "'wait' must be a boolean")
+        timeout_s = min(
+            float(_positive_number(request, "timeout_s", 60.0)),
+            MAX_RESULT_WAIT_S,
+        )
         loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout_s
         # replies follow the status deliver saw: a terminal one is the
         # outcome this call delivers (see ShardRouter.deliver)
         job, status = await loop.run_in_executor(
             None, self.router.deliver, job_id
         )
-        if wait:
-            deadline = time.monotonic() + timeout_s
-            while status not in TERMINAL_STATES:
-                if time.monotonic() >= deadline:
-                    raise ProtocolError(
-                        "TIMEOUT",
-                        f"job {job_id} still {status.value} after "
-                        f"{timeout_s:g}s",
-                        status=status.value,
-                    )
-                await asyncio.sleep(0.003)
-                #: failover may have re-homed the job mid-wait
-                job, status = await loop.run_in_executor(
-                    None, self.router.deliver, job_id
-                )
+        while wait and status not in TERMINAL_STATES:
+            ended = loop.create_future()
+            self.hub.watch(job.job_id, ended)  # before the status read
+            try:
+                if not job.is_terminal:
+                    await asyncio.wait_for(ended, deadline - loop.time())
+            except asyncio.TimeoutError:
+                raise ProtocolError(
+                    "TIMEOUT",
+                    f"job {job_id} still {status.value} after "
+                    f"{timeout_s:g}s",
+                    status=status.value,
+                ) from None
+            finally:
+                self.hub.unwatch(job.job_id, ended)
+            # failover may have re-homed the job: its original's end
+            # wakes this wait, and deliver follows the alias
+            job, status = await loop.run_in_executor(
+                None, self.router.deliver, job_id
+            )
         if status not in TERMINAL_STATES:
             return ok_response(None, status=status.value, result=None)
         if status is JobStatus.DONE:
@@ -517,7 +614,7 @@ class GatewayServer:
         window gets the same error frame, and its stream ends.
         """
         from_seq = request.get("from_seq", self.hub.next_seq)
-        if not isinstance(from_seq, int) or from_seq < 0:
+        if not is_json_int(from_seq) or from_seq < 0:
             raise ProtocolError(
                 "BAD_ENVELOPE", "'from_seq' must be a non-negative integer"
             )
@@ -531,6 +628,7 @@ class GatewayServer:
         )
         await writer.drain()
         seq = from_seq
+        loop = asyncio.get_running_loop()
         while not self._closed:
             if events:
                 for event in events:
@@ -541,6 +639,8 @@ class GatewayServer:
                     )
                 seq = events[-1]["seq"] + 1
                 await writer.drain()
-            else:
-                await asyncio.sleep(0.01)
-            events = self.hub.since(seq)
+            appended = loop.create_future()
+            events = self.hub.since(seq, wake=appended)
+            if not events:
+                # the next append, or shutdown, resolves it
+                await appended

@@ -5,10 +5,12 @@ process mode spends its restart budget, its next step would terminal-fail
 the queued backlog (``no live pool workers``) — correct for a standalone
 service, wasteful for a gateway fleet where sibling shards are healthy.
 :func:`rescue_queued` is the policy the shard router applies *before*
-that happens: it cancels every still-queued job on the dead shard
-(accounted — the lifecycle log shows a clean ``cancelled`` exit, not a
-lost job) and returns the respecification each job needs to be
-resubmitted elsewhere, with its delivery evidence carried along.
+that happens: it hands each still-queued job's respecification (with its
+delivery evidence carried along) to the caller's ``rehome`` callback,
+then cancels the job on the dead shard (accounted — the lifecycle log
+shows a clean ``cancelled`` exit, not a lost job).  Re-homing first
+means whatever the callback records, such as the router's old-id →
+new-id alias, is in place before anyone can observe the cancel.
 
 In-flight jobs are deliberately left alone: the service's own
 crash-redelivery machinery (PR 8) already owns them — they will be
@@ -66,34 +68,36 @@ class RescuedJob:
     evidence: list = field(default_factory=list)
 
 
-def rescue_queued(service, shard: str = "") -> list[RescuedJob]:
+def rescue_queued(service, shard: str = "", rehome=None) -> list[RescuedJob]:
     """Cancel every queued job on a dead shard; return their respecs.
 
-    The caller (the gateway's shard router) resubmits each
-    :class:`RescuedJob` on a surviving shard.  Jobs already in flight or
-    terminal are untouched.  Emits one ``shard_failover`` resilience
-    record naming the shard and the rescue count.  Returns ``[]`` when
-    nothing was queued — safe to call repeatedly.
+    ``rehome`` (the gateway's shard router resubmitting on a surviving
+    shard) is called with each :class:`RescuedJob` before that job is
+    cancelled.  Jobs already in flight or terminal are untouched.  Emits
+    one ``shard_failover`` resilience record naming the shard and the
+    rescue count.  Returns ``[]`` when nothing was queued — safe to call
+    repeatedly.
     """
     rescued: list[RescuedJob] = []
     for job in list(service.queue.jobs()):
         # read the inputs first: the service drops them once the job is
         # cancelled (terminal)
-        rescued.append(
-            RescuedJob(
-                job_id=job.job_id,
-                circuit=job.circuit,
-                batch=job.batch,
-                priority=job.priority,
-                deadline=job.deadline,
-                timeout_s=job.timeout_s,
-                max_deliveries=job.max_deliveries,
-                options=job.options,
-                fidelity=job.fidelity,
-                evidence=list(job.evidence),
-            )
+        spec = RescuedJob(
+            job_id=job.job_id,
+            circuit=job.circuit,
+            batch=job.batch,
+            priority=job.priority,
+            deadline=job.deadline,
+            timeout_s=job.timeout_s,
+            max_deliveries=job.max_deliveries,
+            options=job.options,
+            fidelity=job.fidelity,
+            evidence=list(job.evidence),
         )
+        if rehome is not None:
+            rehome(spec)
         service.queue.cancel(job.job_id)
+        rescued.append(spec)
     if rescued:
         get_resilience_log().record(
             "shard_failover",

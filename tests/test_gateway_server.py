@@ -2,35 +2,49 @@
 
 Everything here talks to a live :class:`GatewayServer` through the
 loopback interface — the same code path as ``repro submit --connect``.
-The two load-bearing properties:
+The load-bearing properties:
 
 * **bit-identity** — a job submitted over the wire returns amplitudes
   ``np.array_equal`` to the same job run in-process (the base64
   complex128 codec is exact, not approximate);
 * **typed refusals** — every hostile or mistimed request (garbage bytes,
   bad QASM, unknown ops, draining server, dead shard) yields a protocol
-  error with a stable code, never a traceback or a hung connection.
+  error with a stable code, never a traceback or a hung connection;
+* **event-driven waits** — a submit wakes the pump, a waiting ``result``
+  wakes on its job's end and a ``stream`` on the hub's next event, so no
+  wait polls and none outlives the event it waits for.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.circuit.generators import make_circuit
 from repro.circuit.inputs import random_batch
-from repro.gateway import GatewayClient, GatewayServer
-from repro.gateway.protocol import PROTOCOL_VERSION, ProtocolError
+from repro.gateway import GatewayClient, GatewayServer, ShardRouter
+from repro.gateway import server as server_module
+from repro.gateway.protocol import PROTOCOL_VERSION, ProtocolError, encode_array
 from repro.gateway.server import _EventHub
 from repro.obs import lifecycle
 from repro.obs.prom import parse_prometheus_text
 from repro.service import BatchSimulationService, workers
 from repro.testing.chaos_pool import ChaosSchedule
+
+from .test_gateway_router import _distinct_circuits
 
 
 class ServerHarness:
@@ -87,6 +101,28 @@ def raw_exchange(port: int, payload: bytes) -> dict:
         line = handle.readline()
     assert line, "server closed the connection without a response"
     return json.loads(line)
+
+
+def wait_until(predicate, timeout_s: float = 5.0) -> None:
+    """Return once ``predicate()`` holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def watched(hub: _EventHub) -> dict[str, int]:
+    """Job id -> number of ``result`` waits the hub would wake."""
+    with hub._lock:
+        return {job: len(waits) for job, waits in hub._watchers.items()}
+
+
+def stop_pump(server: GatewayServer) -> None:
+    """Stop the pump thread, so submitted jobs stay queued until the test
+    steps the fleet itself."""
+    server._stop.set()
+    server._pump_thread.join(timeout=5)
+    assert not server._pump_thread.is_alive()
 
 
 class TestEndToEnd:
@@ -167,7 +203,49 @@ class TestEndToEnd:
         assert err.value.extra["status"] == "done"
 
 
+#: a field set to JSON ``true`` (or a non-boolean ``wait``), the op it is
+#: sent with, and the code its existing checks refuse it with
+BOOLEAN_FIELDS = [
+    ("submit", {"circuit": {"family": "ghz", "num_qubits": True}},
+     "BAD_CIRCUIT"),
+    ("submit", {"circuit": {"family": "ghz", "num_qubits": 3, "seed": True}},
+     "BAD_CIRCUIT"),
+    ("submit", {"inputs": {"dtype": "c16", "shape": [8, True],
+                           "b64": encode_array(np.zeros((8, 1)))["b64"]}},
+     "BAD_INPUTS"),
+    ("submit", {"num_inputs": True}, "BAD_INPUTS"),
+    ("submit", {"priority": True}, "BAD_ENVELOPE"),
+    ("submit", {"deadline_s": True}, "BAD_ENVELOPE"),
+    ("submit", {"timeout_s": True}, "BAD_ENVELOPE"),
+    ("result", {"timeout_s": True}, "BAD_ENVELOPE"),
+    ("result", {"wait": "no"}, "BAD_ENVELOPE"),
+    ("stream", {"from_seq": True}, "BAD_ENVELOPE"),
+    ("ping", {"v": True}, "UNSUPPORTED_VERSION"),
+]
+
+
 class TestTypedWireErrors:
+    @pytest.mark.parametrize(
+        "op, fields, code", BOOLEAN_FIELDS,
+        ids=[
+            "circuit.num_qubits", "circuit.seed", "inputs.shape",
+            "num_inputs", "priority", "deadline_s", "submit.timeout_s",
+            "result.timeout_s", "result.wait", "from_seq", "v",
+        ],
+    )
+    def test_booleans_are_not_numbers(self, harness, op, fields, code):
+        frame = {"v": PROTOCOL_VERSION, "op": op, "id": 9}
+        if op == "submit":
+            frame["circuit"] = {"family": "ghz", "num_qubits": 3}
+        if op == "result":
+            frame["job"] = "s0/job-0-unknown"
+        frame.update(fields)
+        response = raw_exchange(
+            harness.port, json.dumps(frame).encode() + b"\n"
+        )
+        assert response["ok"] is False, response
+        assert response["error"]["code"] == code, response
+
     def test_garbage_bytes(self, harness):
         response = raw_exchange(harness.port, b"\x00\xfe{{{ nope\n")
         assert response["ok"] is False
@@ -264,6 +342,60 @@ class TestShardDeathOverTheWire:
             assert router.unaccounted() == []
         finally:
             harness.stop()
+
+    def test_a_waiting_result_follows_its_rescued_job(self, monkeypatch):
+        """A wait on a job that failover re-homes wakes when the original
+        is cancelled, and must then find the replacement: the alias is in
+        place before the cancel, however slowly the survivors admit."""
+        place = ShardRouter._resubmit
+
+        def slow_place(router, spec):
+            time.sleep(0.05)
+            return place(router, spec)
+
+        monkeypatch.setattr(ShardRouter, "_resubmit", slow_place)
+        harness = ServerHarness(
+            num_shards=2,
+            service_kwargs={
+                "parallelism": "process",
+                "num_workers": 1,
+                "max_restarts": 0,
+            },
+        )
+        router = harness.server.router
+        router.shards["s0"].service.chaos = ChaosSchedule.parse("kill=1")
+        circuits = _distinct_circuits(router, "s0", 3)
+        batches = [
+            random_batch(c.num_qubits, 2, 40 + i)
+            for i, c in enumerate(circuits)
+        ]
+        healthy = ShardRouter(num_shards=1)
+        reference = [
+            healthy.submit(c, batch=b)[0] for c, b in zip(circuits, batches)
+        ]
+        healthy.drain()
+        healthy.close()
+        try:
+            # admitted together, so all three are on s0 when it dies
+            with router.shards["s0"].lock:
+                job_ids = [
+                    router.submit(c, batch=b)[0].job_id
+                    for c, b in zip(circuits, batches)
+                ]
+            assert all(job_id.startswith("s0/") for job_id in job_ids)
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                results = [
+                    client.result(job_id, timeout_s=30.0)
+                    for job_id in job_ids
+                ]
+            for result, ref in zip(results, reference):
+                assert np.array_equal(result, ref.result)
+            for job_id in job_ids:
+                assert router.describe(job_id)["shard"] == "s1"
+            assert router.stats()["rescued"] == 3
+        finally:
+            harness.stop()
+        assert router.unaccounted() == []
 
 
 class TestDraining:
@@ -406,7 +538,11 @@ class TestBoundedMemory:
         try:
             with GatewayClient("127.0.0.1", harness.port) as client:
                 job_id = client.submit(family="ghz", num_qubits=3)
-                assert client.result(job_id).shape == (8, 1)
+                # the job ended before the wait began: a wait that missed
+                # its end would run into the timeout
+                start = time.monotonic()
+                assert client.result(job_id, timeout_s=5.0).shape == (8, 1)
+                assert time.monotonic() - start < 4.0
             assert job_id in service._delivered
         finally:
             harness.stop()
@@ -456,3 +592,181 @@ class TestBoundedMemory:
             hub.since(5)
         assert err.value.code == "STREAM_EXPIRED"
         assert err.value.extra["oldest_seq"] == 6
+
+
+class TestEventDrivenWaits:
+    """Every wait ends on the event it waits for, not on a clock."""
+
+    def test_a_submit_wakes_the_pump(self, monkeypatch):
+        monkeypatch.setattr(server_module, "PUMP_IDLE_S", 30.0)
+        harness = ServerHarness(num_shards=1)
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                start = time.monotonic()
+                job_id = client.submit(family="ghz", num_qubits=3)
+                assert client.result(job_id, timeout_s=5.0).shape == (8, 1)
+                assert time.monotonic() - start < 5.0
+            start = time.monotonic()
+            harness.shutdown()
+            assert time.monotonic() - start < 5.0
+        finally:
+            harness.stop()
+
+    def test_a_waiting_result_wakes_on_its_jobs_end(self, monkeypatch):
+        harness = ServerHarness(num_shards=1)
+        router = harness.server.router
+        stop_pump(harness.server)
+        deliveries = []
+        deliver = router.deliver
+
+        def counted(job_id):
+            deliveries.append(job_id)
+            return deliver(job_id)
+
+        monkeypatch.setattr(router, "deliver", counted)
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client, \
+                    ThreadPoolExecutor(max_workers=1) as pool:
+                job_id = client.submit(family="qft", num_qubits=4)
+                waiting = pool.submit(client.result, job_id, timeout_s=10.0)
+                time.sleep(0.5)
+                assert not waiting.done()
+                assert len(deliveries) <= 3, len(deliveries)
+                router.drain()
+                assert waiting.result(timeout=5.0).shape == (16, 1)
+        finally:
+            harness.stop()
+
+    def test_no_wait_stays_registered(self):
+        """Completed waits, timed-out waits and waits whose client left
+        all leave the hub's registry empty once their jobs end."""
+        harness = ServerHarness(num_shards=1)
+        hub = harness.server.hub
+        stop_pump(harness.server)
+        try:
+            with GatewayClient("127.0.0.1", harness.port) as client, \
+                    GatewayClient("127.0.0.1", harness.port) as waiter, \
+                    ThreadPoolExecutor(max_workers=1) as pool:
+                done, timed_out, abandoned = (
+                    client.submit(family="ghz", num_qubits=3 + i)
+                    for i in range(3)
+                )
+                waiting = pool.submit(waiter.result, done, timeout_s=10.0)
+                with pytest.raises(ProtocolError) as err:
+                    client.result(timed_out, timeout_s=0.2)
+                assert err.value.code == "TIMEOUT"
+                assert err.value.extra["status"] == "queued"
+                with socket.create_connection(
+                    ("127.0.0.1", harness.port), timeout=5
+                ) as sock:
+                    sock.sendall(json.dumps({
+                        "v": PROTOCOL_VERSION, "op": "result", "id": 1,
+                        "job": abandoned,
+                    }).encode() + b"\n")
+                    wait_until(
+                        lambda: watched(hub) == {done: 1, abandoned: 1}
+                    )
+                assert watched(hub) == {done: 1, abandoned: 1}
+                harness.server.router.drain()
+                assert waiting.result(timeout=5.0).shape == (8, 1)
+                assert watched(hub) == {}
+                assert client.result(timed_out).shape == (16, 1)
+            assert watched(hub) == {} and hub._streams == []
+        finally:
+            harness.stop()
+
+    def test_concurrent_waits_all_wake(self):
+        """More waiting clients than cores, with thread switches forced
+        often: a wake-up lost between a wait's status read and its
+        registration would surface as a TIMEOUT."""
+        harness = ServerHarness(num_shards=2)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def submit_and_wait(seed):
+            with GatewayClient("127.0.0.1", harness.port) as client:
+                for i in range(6):
+                    job_id = client.submit(
+                        family="ghz", num_qubits=3 + (seed + i) % 3
+                    )
+                    client.result(job_id, timeout_s=10.0)
+            return seed
+
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                assert sorted(pool.map(
+                    submit_and_wait, range(6), timeout=60
+                )) == list(range(6))
+            assert watched(harness.server.hub) == {}
+        finally:
+            sys.setswitchinterval(previous)
+            harness.stop()
+
+    def test_an_idle_stream_waits_for_the_next_event(self, monkeypatch):
+        harness = ServerHarness(num_shards=1)
+        hub = harness.server.hub
+        reads = []
+        since = hub.since
+
+        def counted(seq, *args, **kwargs):
+            reads.append(seq)
+            return since(seq, *args, **kwargs)
+
+        monkeypatch.setattr(hub, "since", counted)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", harness.port), timeout=5
+            ) as sock:
+                frames = sock.makefile("rb")
+                sock.sendall(json.dumps({
+                    "v": PROTOCOL_VERSION, "op": "stream", "id": 1,
+                }).encode() + b"\n")
+                assert json.loads(frames.readline())["streaming"] is True
+                time.sleep(0.5)
+                assert len(reads) <= 3, len(reads)
+                with GatewayClient("127.0.0.1", harness.port) as client:
+                    job_id = client.submit(family="ghz", num_qubits=3)
+                    client.result(job_id, timeout_s=5.0)
+                while True:  # the socket timeout bounds each read
+                    event = json.loads(frames.readline())
+                    if event["job"] == job_id and event["event"] == "done":
+                        break
+        finally:
+            harness.stop()
+
+
+class TestShutdown:
+    def test_sigterm_with_open_connections_exits_cleanly(self, tmp_path):
+        """SIGTERM to ``repro gateway`` while a client idles on one
+        connection and another streams: the handlers end before the loop
+        closes, so nothing is cancelled and nothing logs a traceback."""
+        port_file = tmp_path / "gateway.port"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gateway", "--port", "0",
+             "--shards", "2", "--port-file", str(port_file)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            wait_until(
+                lambda: port_file.exists() and port_file.read_text().strip(),
+                timeout_s=60.0,
+            )
+            port = int(port_file.read_text())
+            with socket.create_connection(("127.0.0.1", port), timeout=5), \
+                    socket.create_connection(
+                        ("127.0.0.1", port), timeout=5
+                    ) as stream:
+                stream.sendall(json.dumps({
+                    "v": PROTOCOL_VERSION, "op": "stream", "id": 1,
+                }).encode() + b"\n")
+                assert json.loads(stream.makefile("rb").readline())["ok"]
+                server.send_signal(signal.SIGTERM)
+                output, _ = server.communicate(timeout=60)
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 0, output
+        assert "Traceback" not in output, output
+        assert "0 unaccounted" in output, output
